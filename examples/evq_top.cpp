@@ -4,7 +4,7 @@
 // Spawns a deliberately unbalanced workload over three queue families (a
 // flat CAS ring, an SCQ ring, and a flat-combining facade), runs a health
 // Monitor over the global registry, and redraws a top(1)-style panel each
-// poll: per-queue derived rates, latency-reservoir percentiles, hardware
+// poll: per-queue derived rates, op-span latency percentiles, hardware
 // cycles/op and IPC (evq::perf, when the host lets us count), per-thread
 // progress, and whatever findings the Diagnoser currently holds active.
 // On perf-denied hosts the panel says so explicitly instead of silently
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   workers.emplace_back([&] { churn(comb, "top-comb", stop, 50); });
   workers.emplace_back([&] { churn(comb, "top-comb", stop, 50); });
 
-  evq::health::MonitorOptions mopts;  // latency reservoir on at 1-in-64
+  evq::health::MonitorOptions mopts;  // op-span sampling on at 1-in-64
   mopts.perf = &evq::perf::AttributionTable::global();  // layer 4 joined in
   evq::health::Monitor monitor(mopts);
   evq::health::HealthSnapshot snap;

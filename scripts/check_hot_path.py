@@ -12,13 +12,12 @@ op bodies they dispatch to (`pop_idle`, `push_sampled`, `pop_sampled`),
 contention policy, and all their compiler clones (`[clone .cold]`, `.isra`,
 ...). It fails when one of them calls an idle hook:
 
-  on_cas  on_faa  on_slot_sc  on_help_advance  arm_sample  arm_latency
-  record_trace  count_ring_event  finish_op  stripe_ordinal  reregister
+  on_cas  on_faa  on_slot_sc  on_help_advance  arm_sample  record_trace
+  count_ring_event  finish_op  stripe_ordinal  reregister
   QueueMetrics::inc  TLS init/wrapper functions
 
 Calls to the hooks' cold halves (stats::detail::record_cas,
-arm_latency_slow, write_trace_record, ...) are allowed: they sit behind the
-inline gates. The script also fails when one of the six (queue, op) pairs
+write_trace_record, ...) are allowed: they sit behind the inline gates. The script also fails when one of the six (queue, op) pairs
 is missing from the binary, so a rename cannot turn the guard into a no-op.
 
 usage: check_hot_path.py BINARY [--objdump PATH]
@@ -45,8 +44,8 @@ BODIES = ("pop_idle", "push_sampled", "pop_sampled")
 # The class's last template argument is the contention policy.
 NULL_BACKOFF = re.compile(r",\s*evq::NullBackoff\s*>$")
 HOOKS = {"on_cas", "on_faa", "on_slot_sc", "on_help_advance", "arm_sample",
-         "arm_latency", "record_trace", "count_ring_event", "finish_op",
-         "stripe_ordinal", "reregister"}
+         "record_trace", "count_ring_event", "finish_op", "stripe_ordinal",
+         "reregister"}
 QUALIFIED_HOOKS = ("QueueMetrics::inc",)
 
 HEADER = re.compile(r"^[0-9a-f]+ <(.+)>:$")

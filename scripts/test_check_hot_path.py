@@ -36,7 +36,6 @@ CAS_HANDLE = "evq::CasSlotPolicy<evq::harness::Payload>::Handle&"
 
 CLEAN_CALLS = [
     "evq::stats::detail::record_cas(evq::stats::OpCounters&, bool)",
-    "evq::telemetry::detail::arm_latency_slow()",
     "evq::telemetry::detail::write_trace_record(unsigned int, evq::OpOutcome, "
     "unsigned long, unsigned int)",
     "evq::trace::OpProbe::finish(evq::OpOutcome, unsigned long, unsigned int) "
@@ -117,7 +116,6 @@ class CheckHotPathTest(unittest.TestCase):
             "evq::stats::on_slot_sc(bool)",
             "evq::stats::on_help_advance()",
             "evq::trace::detail::arm_sample()",
-            "evq::telemetry::detail::arm_latency()",
             "evq::telemetry::QueueMetrics::inc(evq::telemetry::Counter, unsigned long) "
             "[clone .constprop.0]",
             "evq::telemetry::ScopedQueueMetrics::inc(evq::telemetry::Counter, unsigned long)",

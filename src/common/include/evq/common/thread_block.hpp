@@ -1,9 +1,9 @@
 // The per-thread block behind every per-op observability hook.
 //
 // One ring op consults thread-local state owned by three layers: the
-// op_stats recorder (common), the telemetry stripe ordinal, latency
-// countdown and flight-recorder ring (src/telemetry), and the trace sampling
-// countdown and span ring (src/trace). All of it lives in this one block, so
+// op_stats recorder (common), the telemetry stripe ordinal and
+// flight-recorder ring (src/telemetry), and the trace sampling countdown and
+// span ring (src/trace). All of it lives in this one block, so
 // an idle op (nothing recording, nothing sampled) reads a few words of one
 // cache line and makes no call (DESIGN.md §10, "The per-thread block").
 //
@@ -14,10 +14,10 @@
 // out-of-line definition keeps the symbol out of COMDAT.
 //
 // Next to the block sits one process-wide word, g_sampled_hooks: a bit per
-// sampled or recording hook that is switched on (trace sampling, latency
-// sampling, the flight recorder). While it is zero, the default, a ring op
-// runs a body that has no trace probe, latency timer or flight-recorder
-// hook at all; one relaxed load of this word picks the body.
+// sampled or recording hook that is switched on (trace sampling, the flight
+// recorder). While it is zero, the default, a ring op runs a body that has
+// no trace probe or flight-recorder hook at all; one relaxed load of this
+// word picks the body.
 #pragma once
 
 #include <atomic>
@@ -50,9 +50,6 @@ struct ThreadBlock {
   trace::SpanRing* span_ring = nullptr;
   /// telemetry: process-wide thread ordinal picking the counter stripe.
   std::uint32_t stripe = kStripeUnassigned;
-  /// telemetry: ops left until the next latency sample (<= 1: consult the
-  /// global period).
-  std::uint32_t latency_countdown = 0;
   /// trace: probes left until the next sampled one (<= 1: consult the
   /// global period).
   std::uint32_t trace_countdown = 0;
@@ -61,11 +58,9 @@ struct ThreadBlock {
 extern constinit thread_local ThreadBlock t_block;
 
 /// Bits of g_sampled_hooks. Each is set exactly while its setting is on:
-/// trace::set_sampling(N > 0), telemetry::set_latency_sampling(N > 0),
-/// telemetry::set_tracing(true).
+/// trace::set_sampling(N > 0), telemetry::set_tracing(true).
 inline constexpr std::uint32_t kTraceSamplingHook = 1u << 0;
-inline constexpr std::uint32_t kLatencySamplingHook = 1u << 1;
-inline constexpr std::uint32_t kFlightRecorderHook = 1u << 2;
+inline constexpr std::uint32_t kFlightRecorderHook = 1u << 1;
 
 extern std::atomic<std::uint32_t> g_sampled_hooks;
 

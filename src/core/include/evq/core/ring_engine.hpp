@@ -53,7 +53,6 @@
 #include "evq/core/queue_traits.hpp"
 #include "evq/inject/inject.hpp"
 #include "evq/llsc/counter_cell.hpp"
-#include "evq/telemetry/latency.hpp"
 #include "evq/telemetry/op_event.hpp"
 #include "evq/telemetry/registry.hpp"
 #include "evq/trace/trace.hpp"
@@ -394,22 +393,17 @@ class BoundedRing {
   /// Whether pop_one may answer an empty poll ahead of the op body.
   static constexpr bool kEmptyPollFastPath = !kInjecting;
 
-  /// What an op body runs in place of trace::OpProbe and
-  /// telemetry::LatencyTimer while no sampled or recording hook is on: the
-  /// same calls, all empty, so that body keeps no probe or timer state.
+  /// What an op body runs in place of trace::OpProbe while no sampled or
+  /// recording hook is on: the same calls, all empty, so that body keeps no
+  /// probe state.
   struct IdleProbe {
     IdleProbe(std::uint32_t, trace::OpProbe::OpKind) noexcept {}
     void begin_phase(trace::Phase) noexcept {}
     void help_advance(std::uint64_t, trace::HelpTarget) noexcept {}
     void helped(std::uint64_t, trace::HelpTarget) noexcept {}
   };
-  struct IdleLatencyTimer {
-    IdleLatencyTimer(std::uint32_t, bool) noexcept {}
-  };
   template <bool kSampled>
   using ProbeFor = std::conditional_t<kSampled, trace::OpProbe, IdleProbe>;
-  template <bool kSampled>
-  using TimerFor = std::conditional_t<kSampled, telemetry::LatencyTimer, IdleLatencyTimer>;
 
   /// The one retry round every push/pop retry path funnels through: count
   /// the round, open the backoff trace phase, wait, bump the retry counter.
@@ -449,8 +443,8 @@ class BoundedRing {
   /// retry falls back to the live index.
   ///
   /// The op body exists twice. push_op<false> is the common case: no
-  /// sampled or recording hook is on, and the body has no trace probe,
-  /// latency timer or flight-recorder hook. push_op<true> runs them all. One
+  /// sampled or recording hook is on, and the body has no trace probe or
+  /// flight-recorder hook. push_op<true> runs them all. One
   /// relaxed load picks the body (DESIGN.md §10). push_one stays one
   /// out-of-line function that single, batch and adapter callers share.
   EVQ_NOINLINE bool push_one(Handle& h, T* node, std::uint64_t* hint) noexcept {
@@ -471,9 +465,6 @@ class BoundedRing {
     ContentionPolicy backoff;
     std::uint32_t retries = 0;
     ProbeFor<kSampled> probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPush);
-    // SLO reservoir sample. Scoped to the whole op so every return path —
-    // including push-full — is measured.
-    [[maybe_unused]] TimerFor<kSampled> latency(telemetry_.queue_id(), /*is_push=*/true);
     for (;;) {
       EVQ_INJECT_POINT(SlotPolicy::kPushEnter);
       probe.begin_phase(trace::Phase::kIndexLoad);
@@ -607,7 +598,6 @@ class BoundedRing {
     ContentionPolicy backoff;
     std::uint32_t retries = 0;
     ProbeFor<kSampled> probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPop);
-    [[maybe_unused]] TimerFor<kSampled> latency(telemetry_.queue_id(), /*is_push=*/false);
     for (;;) {
       EVQ_INJECT_POINT(SlotPolicy::kPopEnter);
       probe.begin_phase(trace::Phase::kIndexLoad);

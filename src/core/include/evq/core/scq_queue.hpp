@@ -70,7 +70,6 @@
 #include "evq/core/queue_traits.hpp"
 #include "evq/core/ring_engine.hpp"
 #include "evq/inject/inject.hpp"
-#include "evq/telemetry/latency.hpp"
 #include "evq/telemetry/op_event.hpp"
 #include "evq/telemetry/registry.hpp"
 #include "evq/trace/trace.hpp"
@@ -577,7 +576,6 @@ class ScqQueue {
     EVQ_DCHECK(node != nullptr, "cannot enqueue nullptr (it denotes an empty slot)");
     std::uint32_t retries = 0;
     trace::OpProbe probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPush);
-    telemetry::LatencyTimer latency(telemetry_.queue_id(), /*is_push=*/true);
     EVQ_INJECT_POINT(kPushEnter);
     ScqRing::Io io{telemetry_, probe, retries};
     const std::uint64_t idx = fq_.dequeue<ContentionPolicy>(io);
@@ -608,7 +606,6 @@ class ScqQueue {
   T* pop_one() noexcept {
     std::uint32_t retries = 0;
     trace::OpProbe probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPop);
-    telemetry::LatencyTimer latency(telemetry_.queue_id(), /*is_push=*/false);
     EVQ_INJECT_POINT(kPopEnter);
     ScqRing::Io io{telemetry_, probe, retries};
     const std::uint64_t idx = aq_.dequeue<ContentionPolicy>(io);

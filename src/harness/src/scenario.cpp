@@ -41,9 +41,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const CliOptions& opts) {
     before = telemetry::snapshot_registry();
   }
   // With --health, a caller-pumped Monitor runs across the sweep (one poll
-  // per cell + a final one). Constructing it switches the latency reservoir
-  // on; the A/B overhead gate in CI runs the same scenario with and without
-  // this flag.
+  // per cell + a final one). Constructing it switches 1-in-64 trace
+  // sampling on (unless --trace-sample already set a period); its latency
+  // percentiles come from those op spans. The A/B overhead gate in CI runs
+  // the same scenario with and without this flag.
   std::optional<health::Monitor> monitor;
   ScenarioHealth health_digest;
   auto pump_health = [&] {

@@ -852,24 +852,24 @@ ScenarioSpec pairwise_spec() {
 
 // ---------------------------------------------------------------------------
 // Health-overhead A/B: the telemetry-overhead shape, reused to price the
-// evq::health Monitor + latency reservoir. Same-binary comparison via
-// bench_diff.py on the JSON documents:
+// evq::health Monitor and the op-span sampling it switches on. Same-binary
+// comparison via bench_diff.py on the JSON documents:
 //   baseline   evq-bench run health-overhead --json off.json
 //   monitored  evq-bench run health-overhead --health --json on.json
 // (EXPERIMENTS.md E11 budget: <= 5% mean-op-time overhead — the Monitor is
-// cold-path, so the whole cost is the 1-in-64 latency-timer sampling.)
+// cold-path, so the whole cost is the 1-in-64 trace sampling: every ring op
+// runs its sampled body, and one op in 64 writes its spans.)
 // ---------------------------------------------------------------------------
 
 ScenarioSpec health_overhead_spec() {
   ScenarioSpec spec;
   spec.name = "health-overhead";
-  spec.title = "Health overhead: paper algorithms with Monitor + latency reservoir";
+  spec.title = "Health overhead: paper algorithms with Monitor + sampled op spans";
   spec.summary = "Observability — monitor-off vs --health cost (EXPERIMENTS.md E11)";
   spec.default_threads = {1, 2, 4};
   spec.rows = thread_rows;
-  // The array queues price the per-op LatencyTimer gate with nowhere to
-  // hide; scq exercises the reservoir on the FAA path the burn detector
-  // watches.
+  // The array queues price the sampled body and its probe gate with
+  // nowhere to hide; scq samples the FAA path the burn detector watches.
   spec.series = registry_series({"fifo-llsc", "fifo-simcas", "scq"});
   return spec;
 }

@@ -3,9 +3,9 @@
 // (evq::trace) samples op phases; this third layer turns both into verdicts:
 // derived per-queue rates, per-thread progress, and typed findings with
 // hysteresis. Everything here is cold-path — the only hot-path cost of
-// running a Monitor is the telemetry layer's latency-reservoir sampling it
-// enables (1-in-N countdown, gated at <= 5% total by CI's health-overhead
-// job).
+// running a Monitor is the trace layer's 1-in-N op sampling it enables,
+// whose op spans give the latency percentiles (gated at <= 5% total by CI's
+// health-overhead job).
 //
 // The split between the pieces is deliberate:
 //  * rate derivation (Monitor, monitor.hpp) owns the registry/flight-
@@ -102,7 +102,8 @@ struct QueueRates {
   std::int64_t seg_in_flight = 0;
   bool has_depth = false;
   std::uint64_t depth = 0;
-  /// Latency-reservoir percentiles in nanoseconds; < 0 = no samples.
+  /// Percentiles of the sampled op spans' durations in nanoseconds; < 0 =
+  /// no samples (always so with EVQ_TRACE=0).
   double push_p50_ns = -1.0;
   double push_p99_ns = -1.0;
   double pop_p50_ns = -1.0;
@@ -213,7 +214,7 @@ class Diagnoser {
 
 /// Prometheus text-format rendering of a snapshot: evq_health_rate gauges
 /// (one per derived rate per queue), evq_health_latency_ns quantile gauges
-/// (queues with reservoir samples only), and evq_health_finding_active 1
+/// (queues with sampled op spans only), and evq_health_finding_active 1
 /// gauges for the snapshot's active findings (absent series = quiet).
 /// Labels go through telemetry::escape_label_value. Deterministic output,
 /// pinned by a golden-style unit test.

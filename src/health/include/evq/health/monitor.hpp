@@ -1,6 +1,6 @@
 // Monitor: the stateful half of evq::health — snapshots the telemetry
-// registry and flight recorder on an interval, derives QueueRates /
-// ThreadProgress, and runs them through the Diagnoser.
+// registry, the flight recorder and the trace spans on an interval, derives
+// QueueRates / ThreadProgress, and runs them through the Diagnoser.
 //
 // Two pumping modes, same poll() core:
 //  * caller-pumped: construct, call poll() whenever convenient (the torture
@@ -21,6 +21,10 @@
 //                       push/pop lands on the inner ring's entry)
 //    comb_mean_batch  = D[comb_combine] > 0 ? D[comb_batch_n]/D[comb_combine] : 0
 //    seg_in_flight    = S[seg_alloc] − S[seg_retire]          (cumulative!)
+//    push/pop p50/p99 = percentiles of t_end − t_start over the surviving
+//                       sampled kOp spans of the queue (trace::
+//                       snapshot_spans(); push_ok/push_full are push,
+//                       pop_ok/pop_empty are pop); < 0 = no samples
 //
 // Thread progress: a ring is "stalled now" when its owner is live, tracing
 // is enabled, the owner has recorded at least one op SINCE THE MONITOR'S
@@ -48,9 +52,12 @@ struct MonitorOptions {
   /// Registry to watch; nullptr = telemetry::Registry::global().
   telemetry::Registry* registry = nullptr;
   Thresholds thresholds;
-  /// The Monitor enables the telemetry latency reservoir at this 1-in-N
-  /// period for its lifetime (previous period restored on destruction).
-  /// 0 = leave the global sampling setting untouched.
+  /// If trace sampling is off, the Monitor switches it on at this 1-in-N
+  /// period for its lifetime and switches it off again on destruction; a
+  /// period that was already set (e.g. --trace-sample N) is left untouched.
+  /// The latency percentiles come from the sampled op spans, so with
+  /// sampling off, or with probes compiled out (EVQ_TRACE=0), they are
+  /// absent. 0 = leave the sampling setting untouched.
   std::uint32_t latency_sample_every = 64;
   /// Optional layer-4 source: when set, each poll also deltas this perf
   /// attribution table and joins the per-queue cycles/op, IPC and LLC
@@ -93,7 +100,7 @@ class Monitor {
 
   MonitorOptions options_;
   telemetry::Registry* registry_;
-  std::uint32_t saved_latency_every_ = 0;
+  bool enabled_sampling_ = false;  // this Monitor switched trace sampling on
 
   mutable std::mutex mu_;
   telemetry::RegistrySnapshot prev_;

@@ -1,7 +1,7 @@
 // evq::health implementation: Diagnoser rule engine + hysteresis, Monitor
 // polling core, and the Prometheus/JSON sinks. Cold path throughout — this
-// TU includes no injectable headers (telemetry + std only), so evq_health is
-// safe to link into the EVQ_INJECT_ENABLED torture binary.
+// TU includes no injectable headers (telemetry, trace + std only), so
+// evq_health is safe to link into the EVQ_INJECT_ENABLED torture binary.
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
@@ -12,9 +12,9 @@
 #include "evq/health/health.hpp"
 #include "evq/health/monitor.hpp"
 #include "evq/telemetry/flight_recorder.hpp"
-#include "evq/telemetry/latency.hpp"
 #include "evq/telemetry/metrics.hpp"
 #include "evq/telemetry/prometheus.hpp"
+#include "evq/trace/trace.hpp"
 
 namespace evq::health {
 
@@ -173,16 +173,18 @@ Monitor::Monitor(MonitorOptions options)
     : options_(options),
       registry_(options.registry != nullptr ? options.registry : &telemetry::Registry::global()),
       diagnoser_(options.thresholds) {
-  if (options_.latency_sample_every > 0) {
-    saved_latency_every_ = telemetry::latency_sampling_period();
-    telemetry::set_latency_sampling(options_.latency_sample_every);
+  // With probes compiled out (EVQ_TRACE=0) sampling would only switch every
+  // ring op to its sampled body for nothing, so the latency gauges are absent.
+  if (EVQ_TRACE && options_.latency_sample_every > 0 && trace::sampling_period() == 0) {
+    trace::set_sampling(options_.latency_sample_every);
+    enabled_sampling_ = true;
   }
 }
 
 Monitor::~Monitor() {
   stop();
-  if (options_.latency_sample_every > 0) {
-    telemetry::set_latency_sampling(saved_latency_every_);
+  if (enabled_sampling_ && trace::sampling_period() == options_.latency_sample_every) {
+    trace::set_sampling(0);
   }
 }
 
@@ -202,6 +204,27 @@ using Ctr = telemetry::Counter;
 
 std::uint64_t ctr(const telemetry::CounterSnapshot& s, Ctr c) {
   return s.counts[static_cast<std::size_t>(c)];
+}
+
+/// Durations (raw ticks) of one queue's sampled ops, by direction.
+struct OpTicks {
+  std::vector<std::uint64_t> push;
+  std::vector<std::uint64_t> pop;
+};
+
+/// Every surviving sampled kOp span, grouped by queue id.
+std::unordered_map<std::uint32_t, OpTicks> op_ticks_by_queue() {
+  std::unordered_map<std::uint32_t, OpTicks> out;
+  for (const trace::SpanSnapshot& s : trace::snapshot_spans()) {
+    if (s.kind != trace::EventKind::kOp || s.t_end < s.t_start) {
+      continue;
+    }
+    const auto code = static_cast<OpOutcome>(s.code);
+    const bool push = code == OpOutcome::kPushOk || code == OpOutcome::kPushFull;
+    OpTicks& t = out[s.queue_id];
+    (push ? t.push : t.pop).push_back(s.t_end - s.t_start);
+  }
+  return out;
 }
 
 /// p in [0, 1] over a sorted-in-place tick vector; < 0 when empty.
@@ -225,12 +248,7 @@ HealthSnapshot Monitor::poll_locked() {
   snap.poll = ++polls_;
 
   // --- Per-queue rates -----------------------------------------------------
-  std::unordered_map<std::uint32_t, std::vector<telemetry::LatencyWindow>::const_iterator>
-      window_of;
-  const std::vector<telemetry::LatencyWindow> windows = telemetry::latency_windows();
-  for (auto it = windows.begin(); it != windows.end(); ++it) {
-    window_of.emplace(it->queue_id, it);
-  }
+  std::unordered_map<std::uint32_t, OpTicks> ticks_of = op_ticks_by_queue();
 
   std::unordered_map<std::uint32_t, std::string> name_of_id;
   std::uint64_t total_ops = 0;
@@ -283,13 +301,12 @@ HealthSnapshot Monitor::poll_locked() {
     r.has_depth = d.has_depth;
     r.depth = d.depth;
 
-    if (const auto wit = window_of.find(r.queue_id); wit != window_of.end()) {
-      std::vector<std::uint64_t> push_ticks = wit->second->push_ticks;
-      std::vector<std::uint64_t> pop_ticks = wit->second->pop_ticks;
-      r.push_p50_ns = percentile_ns(push_ticks, 0.50);
-      r.push_p99_ns = percentile_ns(push_ticks, 0.99);
-      r.pop_p50_ns = percentile_ns(pop_ticks, 0.50);
-      r.pop_p99_ns = percentile_ns(pop_ticks, 0.99);
+    if (const auto tit = ticks_of.find(r.queue_id); tit != ticks_of.end()) {
+      OpTicks& t = tit->second;
+      r.push_p50_ns = percentile_ns(t.push, 0.50);
+      r.push_p99_ns = percentile_ns(t.push, 0.99);
+      r.pop_p50_ns = percentile_ns(t.pop, 0.50);
+      r.pop_p99_ns = percentile_ns(t.pop, 0.99);
     }
     snap.queues.push_back(std::move(r));
   }

@@ -9,12 +9,13 @@
 // acceptable in a post-mortem, a data race is not (the torture binary runs
 // under TSan).
 //
-// Rings are pooled: a thread attaches on its first traced op, its ring
-// returns to a free list at thread exit and is reused by later threads, and
-// every ring ever created stays reachable for dumping — so memory is bounded
-// by the peak thread count, and records from exited threads survive for the
-// post-mortem. Tracing is off by default behind one relaxed global flag; the
-// torture harness switches it on, benches leave it off.
+// Rings are pooled (telemetry/ring_pool.hpp): a thread attaches on its first
+// traced op, its ring returns to a free list at thread exit and is reused by
+// later threads, and every ring ever created stays reachable for dumping —
+// so memory is bounded by the peak thread count, and records from exited
+// threads survive for the post-mortem. Tracing is off by default behind one
+// relaxed global flag; the torture harness switches it on, benches leave it
+// off.
 #pragma once
 
 #include <atomic>
@@ -28,6 +29,7 @@
 #include "evq/common/op_outcome.hpp"
 #include "evq/common/thread_block.hpp"
 #include "evq/telemetry/metrics.hpp"
+#include "evq/telemetry/ring_pool.hpp"
 
 namespace evq::telemetry {
 
@@ -41,6 +43,10 @@ inline std::uint64_t trace_clock() noexcept {
       std::chrono::steady_clock::now().time_since_epoch().count());
 #endif
 }
+
+/// Nanoseconds per trace_clock() tick, calibrated once against
+/// steady_clock on first use and cached (~2ms spin, cold path only).
+[[nodiscard]] double ns_per_tick() noexcept;
 
 class ThreadTrace {
  public:
@@ -111,7 +117,7 @@ class ThreadTrace {
 
 namespace detail {
 extern std::atomic<bool> g_tracing;
-ThreadTrace& attach_trace();
+using FlightRingPool = ThreadRingPool<ThreadTrace, &evq::detail::ThreadBlock::flight_ring>;
 /// Cold half of record_trace(): attaches this thread's ring on first use
 /// and writes one record (telemetry.cpp).
 EVQ_COLD void write_trace_record(std::uint32_t queue_id, OpOutcome op, std::uint64_t index,

@@ -20,7 +20,7 @@ namespace evq::telemetry {
 
 struct QueueCounters {
   std::string queue;
-  std::uint32_t id = 0;  // registry entry id (stable; keys the latency reservoir)
+  std::uint32_t id = 0;  // registry entry id (stable; trace spans and flight records carry it)
   CounterSnapshot counters;
   bool has_depth = false;  // true when the entry had >= 1 depth gauge
   std::uint64_t depth = 0;

@@ -1,15 +1,16 @@
 // Out-of-line telemetry state: stripe-ordinal assignment, the global
-// registry, the flight-recorder ring pool, and the exporter. This TU is part
+// registry, the flight recorder's dumps, the tick calibration, and the
+// exporter. This TU is part
 // of every build (including the fault-injected torture binary) and must stay
 // free of injectable headers — it includes only telemetry/ and common/.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <ostream>
 #include <sstream>
 
 #include "evq/telemetry/flight_recorder.hpp"
-#include "evq/telemetry/latency.hpp"
 #include "evq/telemetry/metrics.hpp"
 #include "evq/telemetry/prometheus.hpp"
 #include "evq/telemetry/registry.hpp"
@@ -194,64 +195,11 @@ namespace detail {
 
 std::atomic<bool> g_tracing{false};
 
-namespace {
-
-std::mutex& trace_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-struct TracePool {
-  std::vector<ThreadTrace*> all;   // every ring ever created, attach order
-  std::vector<ThreadTrace*> free;  // rings of exited threads, ready to reuse
-  std::uint32_t next_ordinal = 0;
-};
-
-TracePool& trace_pool() {
-  // Leaked on purpose: dumps must work during process teardown.
-  static TracePool* pool = new TracePool();
-  return *pool;
-}
-
-/// Thread-exit hook: returns this thread's ring to the pool. The ring itself
-/// (and its records) stays reachable through TracePool::all for post-mortem.
-struct TraceOwner {
-  ThreadTrace* trace = nullptr;
-  ~TraceOwner() {
-    if (trace != nullptr) {
-      trace->mark_exited();
-      std::lock_guard<std::mutex> lock(trace_mutex());
-      trace_pool().free.push_back(trace);
-    }
-  }
-};
-
-thread_local TraceOwner t_owner;
-
-}  // namespace
-
-ThreadTrace& attach_trace() {
-  std::lock_guard<std::mutex> lock(trace_mutex());
-  TracePool& pool = trace_pool();
-  ThreadTrace* t;
-  if (!pool.free.empty()) {
-    t = pool.free.back();
-    pool.free.pop_back();
-  } else {
-    t = new ThreadTrace();
-    pool.all.push_back(t);
-  }
-  t->assign_owner(pool.next_ordinal++);
-  t_owner.trace = t;
-  evq::detail::t_block.flight_ring = t;
-  return *t;
-}
-
 void write_trace_record(std::uint32_t queue_id, OpOutcome op, std::uint64_t index,
                         std::uint32_t retries) noexcept {
   ThreadTrace* t = evq::detail::t_block.flight_ring;
   if (t == nullptr) {
-    t = &attach_trace();
+    t = &FlightRingPool::attach();
   }
   t->record(queue_id, op, index, retries);
 }
@@ -302,12 +250,7 @@ std::string queue_label(std::uint32_t id) {
 }  // namespace
 
 std::vector<LastOpState> last_ops_per_thread() {
-  std::vector<const ThreadTrace*> traces;
-  {
-    std::lock_guard<std::mutex> lock(detail::trace_mutex());
-    const auto& all = detail::trace_pool().all;
-    traces.assign(all.begin(), all.end());
-  }
+  const std::vector<ThreadTrace*> traces = detail::FlightRingPool::rings();
   std::vector<LastOpState> out;
   for (const ThreadTrace* t : traces) {
     LastOpState s = read_last_op(*t);
@@ -319,12 +262,7 @@ std::vector<LastOpState> last_ops_per_thread() {
 }
 
 void dump_flight_recorder(std::ostream& os, std::size_t last_n) {
-  std::vector<const ThreadTrace*> traces;
-  {
-    std::lock_guard<std::mutex> lock(detail::trace_mutex());
-    const auto& all = detail::trace_pool().all;
-    traces.assign(all.begin(), all.end());
-  }
+  const std::vector<ThreadTrace*> traces = detail::FlightRingPool::rings();
   os << "=== evq flight recorder: " << traces.size() << " thread ring(s) ===\n";
   for (const ThreadTrace* t : traces) {
     const LastOpState last = read_last_op(*t);
@@ -356,12 +294,7 @@ void dump_flight_recorder(std::ostream& os, std::size_t last_n) {
 }
 
 void dump_flight_recorder_chrome(std::ostream& os, std::size_t last_n) {
-  std::vector<const ThreadTrace*> traces;
-  {
-    std::lock_guard<std::mutex> lock(detail::trace_mutex());
-    const auto& all = detail::trace_pool().all;
-    traces.assign(all.begin(), all.end());
-  }
+  const std::vector<ThreadTrace*> traces = detail::FlightRingPool::rings();
 
   // Origin = oldest surviving tsc, so the timeline starts near zero.
   std::uint64_t origin = 0;
@@ -418,94 +351,8 @@ void dump_flight_recorder_chrome(std::ostream& os, std::size_t last_n) {
 }
 
 // ---------------------------------------------------------------------------
-// Latency reservoir
+// Tick calibration
 // ---------------------------------------------------------------------------
-
-namespace detail {
-
-std::atomic<std::uint32_t> g_latency_every{0};
-
-namespace {
-
-/// One queue's reservoir: two multi-writer rings of raw tick deltas. Slots
-/// are relaxed atomics for the same reason as flight-recorder records — a
-/// reader may copy while writers deposit, and a stale slot is fine but a
-/// data race is not.
-struct LatencyReservoir {
-  std::atomic<std::uint64_t> push_pos{0};
-  std::atomic<std::uint64_t> pop_pos{0};
-  std::atomic<std::uint64_t> push_samples[kLatencySamples]{};
-  std::atomic<std::uint64_t> pop_samples[kLatencySamples]{};
-};
-
-/// Flat id-indexed table so the armed deposit path is lock-free. Reservoirs
-/// are CAS-installed on first sample and leaked on purpose (health snapshots
-/// must work during process teardown).
-std::atomic<LatencyReservoir*> g_reservoirs[kLatencyMaxQueues]{};
-
-void copy_window(const std::atomic<std::uint64_t>& pos_a,
-                 const std::atomic<std::uint64_t> (&ring)[kLatencySamples],
-                 std::vector<std::uint64_t>& out) {
-  const std::uint64_t pos = pos_a.load(std::memory_order_relaxed);
-  const std::uint64_t n = std::min<std::uint64_t>(pos, kLatencySamples);
-  out.reserve(n);
-  for (std::uint64_t i = pos - n; i < pos; ++i) {
-    const std::uint64_t v = ring[i & (kLatencySamples - 1)].load(std::memory_order_relaxed);
-    if (v != 0) {  // zero = slot not yet (or being) written; drop it
-      out.push_back(v);
-    }
-  }
-}
-
-}  // namespace
-
-bool arm_latency_slow() noexcept {
-  // Re-read: sampling may have been switched off since the inline check.
-  const std::uint32_t every = g_latency_every.load(std::memory_order_relaxed);
-  evq::detail::t_block.latency_countdown = every;
-  return every != 0;
-}
-
-void record_latency(std::uint32_t queue_id, bool is_push, std::uint64_t ticks) noexcept {
-  if (queue_id >= kLatencyMaxQueues) {
-    return;
-  }
-  LatencyReservoir* r = g_reservoirs[queue_id].load(std::memory_order_acquire);
-  if (r == nullptr) {
-    auto* fresh = new LatencyReservoir();
-    if (g_reservoirs[queue_id].compare_exchange_strong(r, fresh, std::memory_order_acq_rel,
-                                                       std::memory_order_acquire)) {
-      r = fresh;
-    } else {
-      delete fresh;  // lost the install race; r now holds the winner
-    }
-  }
-  // A delta of 0 ticks is indistinguishable from an unwritten slot; round up.
-  if (ticks == 0) {
-    ticks = 1;
-  }
-  if (is_push) {
-    const std::uint64_t at = r->push_pos.fetch_add(1, std::memory_order_relaxed);
-    r->push_samples[at & (kLatencySamples - 1)].store(ticks, std::memory_order_relaxed);
-  } else {
-    const std::uint64_t at = r->pop_pos.fetch_add(1, std::memory_order_relaxed);
-    r->pop_samples[at & (kLatencySamples - 1)].store(ticks, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace detail
-
-void set_latency_sampling(std::uint32_t every) noexcept {
-  static std::mutex setting_mutex;  // keeps the gate bit in step with the period
-  std::lock_guard<std::mutex> lock(setting_mutex);
-  detail::g_latency_every.store(every, std::memory_order_relaxed);
-  evq::detail::set_sampled_hook(evq::detail::kLatencySamplingHook, every != 0);
-  evq::detail::t_block.latency_countdown = 0;  // re-arm this thread on its next op
-}
-
-std::uint32_t latency_sampling_period() noexcept {
-  return detail::g_latency_every.load(std::memory_order_relaxed);
-}
 
 double ns_per_tick() noexcept {
 #if defined(__x86_64__)
@@ -533,25 +380,6 @@ double ns_per_tick() noexcept {
 #else
   return 1.0;  // trace_clock() is already steady_clock nanoseconds
 #endif
-}
-
-std::vector<LatencyWindow> latency_windows() {
-  std::vector<LatencyWindow> out;
-  for (std::size_t id = 0; id < kLatencyMaxQueues; ++id) {
-    const detail::LatencyReservoir* r =
-        detail::g_reservoirs[id].load(std::memory_order_acquire);
-    if (r == nullptr) {
-      continue;
-    }
-    LatencyWindow w;
-    w.queue_id = static_cast<std::uint32_t>(id);
-    detail::copy_window(r->push_pos, r->push_samples, w.push_ticks);
-    detail::copy_window(r->pop_pos, r->pop_samples, w.pop_ticks);
-    if (!w.push_ticks.empty() || !w.pop_ticks.empty()) {
-      out.push_back(std::move(w));
-    }
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

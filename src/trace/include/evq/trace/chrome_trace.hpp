@@ -17,7 +17,7 @@
 //  * reclamation spans are duration events (cat "reclaim").
 //
 // Timestamps: ring records hold raw trace_clock() ticks; export converts to
-// the format's microseconds using a steady_clock calibration (or the caller
+// the format's microseconds using telemetry::ns_per_tick() (or the caller
 // override in ExportOptions, which the golden test uses for byte-stable
 // output).
 #pragma once
@@ -30,7 +30,7 @@
 namespace evq::trace {
 
 struct ExportOptions {
-  /// Nanoseconds per trace_clock() tick; 0 = calibrate automatically.
+  /// Nanoseconds per trace_clock() tick; 0 = telemetry::ns_per_tick().
   double ns_per_tick = 0.0;
   /// Tick value mapped to ts=0; kAutoOrigin = the earliest recorded tick.
   static constexpr std::uint64_t kAutoOrigin = ~std::uint64_t{0};

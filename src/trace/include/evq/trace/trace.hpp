@@ -21,19 +21,20 @@
 //    thread-local countdown decrement; only every Nth op per thread stamps
 //    timestamps and writes ring records. EXPERIMENTS.md E7 pins the
 //    measured overhead at 1-in-64 to <= 5% on the worst-case array queues.
+//    This is the only per-op sampler: the health Monitor takes its push/pop
+//    latency percentiles from the sampled kOp spans (src/health).
 //  * -DEVQ_TRACE=OFF (CMake option EVQ_TRACE): probe bodies compile to
 //    nothing. The ring pool, snapshot and export APIs stay compiled (they
 //    are cold) so instrumented code and tools need no #ifdefs — the
 //    exported trace is simply empty.
 //
-// Ring infrastructure: this reuses the flight-recorder design one-for-one
-// (telemetry/flight_recorder.hpp) — per-thread rings of all-relaxed-atomic
-// records, written only by the owning thread, racily-but-atomically readable
-// by dumpers while writers run (TSan-clean; a torn logical record is
-// acceptable in a diagnostic, a data race is not); rings are pooled, reused
-// across thread lifetimes, and every ring ever created stays reachable for
-// export. It also reuses the flight recorder's trace_clock() (raw TSC on
-// x86-64, steady_clock ticks elsewhere).
+// Ring infrastructure: the flight recorder's (telemetry/flight_recorder.hpp)
+// — per-thread rings of all-relaxed-atomic records, written only by the
+// owning thread, racily-but-atomically readable by dumpers while writers run
+// (TSan-clean; a torn logical record is acceptable in a diagnostic, a data
+// race is not), kept in the same ring pool (telemetry/ring_pool.hpp), and
+// stamped with the same trace_clock() (raw TSC on x86-64, steady_clock ticks
+// elsewhere) and its ns_per_tick() calibration.
 #pragma once
 
 #include <atomic>
@@ -44,6 +45,7 @@
 #include "evq/common/config.hpp"
 #include "evq/common/thread_block.hpp"
 #include "evq/telemetry/flight_recorder.hpp"
+#include "evq/telemetry/ring_pool.hpp"
 
 #if !defined(EVQ_TRACE)
 #define EVQ_TRACE 1
@@ -172,10 +174,6 @@ class SpanRing {
   void assign_owner(std::uint32_t ordinal) noexcept {
     owner_ord_.store(ordinal, std::memory_order_relaxed);
   }
-  void reset() noexcept {
-    pos_.store(0, std::memory_order_relaxed);
-    help_pos_.store(0, std::memory_order_relaxed);
-  }
 
  private:
   void write(Record& r, EventKind kind, std::uint8_t code, std::uint32_t queue_id,
@@ -204,7 +202,7 @@ namespace detail {
 /// 0 = tracing off; N>0 = each thread records every Nth probe.
 extern std::atomic<std::uint32_t> g_sample_every;
 
-SpanRing& attach_ring();
+using SpanRingPool = telemetry::ThreadRingPool<SpanRing, &evq::detail::ThreadBlock::span_ring>;
 
 /// The per-probe sampling gate: arms every `period`-th call on this thread
 /// (the first call after enabling always arms, which makes sampling ratios
@@ -229,7 +227,7 @@ EVQ_ALWAYS_INLINE bool arm_sample() noexcept {
 
 inline SpanRing& ring() noexcept {
   SpanRing* r = evq::detail::t_block.span_ring;
-  return r != nullptr ? *r : attach_ring();
+  return r != nullptr ? *r : SpanRingPool::attach();
 }
 
 // --- test seams (trace_test.cpp) ---
@@ -294,14 +292,17 @@ class OpProbe {
   static constexpr std::uint32_t kHelperSide = 0;
   static constexpr std::uint32_t kHelpedSide = 1;
 
-  /// The constructor takes no timestamp: the ring engine opens its first
-  /// phase immediately after constructing the probe, so that phase's stamp
-  /// doubles as the op start (one rdtsc saved per sampled op).
+  /// An armed probe stamps the op start here, so every sampled op has a
+  /// real duration, including one that returns before opening a phase
+  /// (SCQ's threshold empty pop).
   EVQ_ALWAYS_INLINE OpProbe(std::uint32_t queue_id, OpKind kind) noexcept {
 #if EVQ_TRACE
     queue_id_ = queue_id;
     kind_ = kind;
     armed_ = detail::arm_sample();
+    if (armed_) {
+      t_op_start_ = telemetry::trace_clock();
+    }
 #else
     (void)queue_id;
     (void)kind;
@@ -322,9 +323,6 @@ class OpProbe {
     close_phase(now);
     phase_ = static_cast<std::uint8_t>(p);
     t_phase_start_ = now;
-    if (t_op_start_ == 0) {
-      t_op_start_ = now;
-    }
 #else
     (void)p;
 #endif
@@ -381,7 +379,7 @@ class OpProbe {
     const std::uint64_t now = telemetry::trace_clock();
     close_phase(now);
     detail::ring().record(EventKind::kOp, static_cast<std::uint8_t>(code), queue_id_,
-                          index, retries, t_op_start_ != 0 ? t_op_start_ : now, now);
+                          index, retries, t_op_start_, now);
     armed_ = false;
 #else
     (void)code;

@@ -1,12 +1,11 @@
-// Out-of-line evq::trace state: the ring pool, sampling globals and the
-// Chrome Trace Format exporter. Like telemetry.cpp, this TU is linked into
+// Out-of-line evq::trace state: the sampling globals, the span snapshot and
+// the Chrome Trace Format exporter. Like telemetry.cpp, this TU is linked into
 // every binary including the fault-injected torture build, so it must stay
 // free of injectable headers — it includes only trace/, telemetry/ and
 // common/ (the probes that DO sit in injectable headers are header-only and
 // compile inside each binary's own TUs).
 #include "evq/trace/trace.hpp"
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -71,80 +70,12 @@ namespace detail {
 
 std::atomic<std::uint32_t> g_sample_every{0};
 
-namespace {
-
-std::mutex& pool_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-struct RingPool {
-  std::vector<SpanRing*> all;   // every ring ever created, attach order
-  std::vector<SpanRing*> free;  // rings of exited threads, ready to reuse
-  std::uint32_t next_ordinal = 0;
-};
-
-RingPool& ring_pool() {
-  // Leaked on purpose: exports must work during process teardown (the
-  // torture watchdog dumps from a detached timeout thread).
-  static RingPool* pool = new RingPool();
-  return *pool;
-}
-
-/// Thread-exit hook mirroring the flight recorder's TraceOwner: the ring
-/// returns to the free list but stays reachable through RingPool::all.
-struct RingOwner {
-  SpanRing* ring = nullptr;
-  ~RingOwner() {
-    if (ring != nullptr) {
-      std::lock_guard<std::mutex> lock(pool_mutex());
-      ring_pool().free.push_back(ring);
-    }
-  }
-};
-
-thread_local RingOwner t_owner;
-
-}  // namespace
-
-SpanRing& attach_ring() {
-  std::lock_guard<std::mutex> lock(pool_mutex());
-  RingPool& pool = ring_pool();
-  SpanRing* r;
-  if (!pool.free.empty()) {
-    r = pool.free.back();
-    pool.free.pop_back();
-  } else {
-    r = new SpanRing();
-    pool.all.push_back(r);
-  }
-  r->assign_owner(pool.next_ordinal++);
-  t_owner.ring = r;
-  evq::detail::t_block.span_ring = r;
-  return *r;
-}
-
 void reset_for_test() {
-  std::lock_guard<std::mutex> lock(pool_mutex());
-  RingPool& pool = ring_pool();
-  // Rings may still be referenced by exited threads' destructors queued on
-  // other threads, so they are leaked (graveyard), not freed.
-  pool.all.clear();
-  pool.free.clear();
-  pool.next_ordinal = 0;
-  evq::detail::t_block.span_ring = nullptr;
-  t_owner.ring = nullptr;
+  SpanRingPool::reset();
   evq::detail::t_block.trace_countdown = 0;
 }
 
-SpanRing& make_ring_for_test() {
-  std::lock_guard<std::mutex> lock(pool_mutex());
-  RingPool& pool = ring_pool();
-  SpanRing* r = new SpanRing();
-  r->assign_owner(pool.next_ordinal++);
-  pool.all.push_back(r);
-  return *r;
-}
+SpanRing& make_ring_for_test() { return SpanRingPool::make_unattached(); }
 
 }  // namespace detail
 
@@ -161,11 +92,7 @@ std::uint32_t sampling_period() noexcept {
 }
 
 std::vector<SpanSnapshot> snapshot_spans() {
-  std::vector<SpanRing*> rings;
-  {
-    std::lock_guard<std::mutex> lock(detail::pool_mutex());
-    rings = detail::ring_pool().all;
-  }
+  const std::vector<SpanRing*> rings = detail::SpanRingPool::rings();
   std::vector<SpanSnapshot> out;
   auto copy_record = [&out](const SpanRing::Record& r) {
     SpanSnapshot s;
@@ -200,26 +127,6 @@ std::vector<SpanSnapshot> snapshot_spans() {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// trace_clock() ns-per-tick, calibrated like harness/tsc.hpp (a short spin
-/// against steady_clock); 1.0 on the steady_clock fallback.
-double calibrate_ns_per_tick() {
-#if defined(__x86_64__)
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t c0 = telemetry::trace_clock();
-  for (;;) {
-    const auto t1 = std::chrono::steady_clock::now();
-    const std::uint64_t c1 = telemetry::trace_clock();
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-    if (ns >= 2'000'000 && c1 > c0) {
-      return static_cast<double>(ns) / static_cast<double>(c1 - c0);
-    }
-  }
-#else
-  return 1.0;
-#endif
-}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -278,11 +185,8 @@ struct Emitter {
 void export_chrome_trace(std::ostream& os, const ExportOptions& options) {
   const std::vector<SpanSnapshot> spans = snapshot_spans();
 
-  double ns_per_tick = options.ns_per_tick;
-  if (ns_per_tick <= 0.0) {
-    static const double calibrated = calibrate_ns_per_tick();
-    ns_per_tick = calibrated;
-  }
+  const double ns_per_tick =
+      options.ns_per_tick > 0.0 ? options.ns_per_tick : telemetry::ns_per_tick();
   std::uint64_t origin = options.origin;
   if (origin == ExportOptions::kAutoOrigin) {
     origin = 0;

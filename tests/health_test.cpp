@@ -14,9 +14,9 @@
 #include "evq/core/cas_array_queue.hpp"
 #include "evq/health/health.hpp"
 #include "evq/health/monitor.hpp"
-#include "evq/telemetry/latency.hpp"
 #include "evq/telemetry/metrics.hpp"
 #include "evq/telemetry/registry.hpp"
+#include "evq/trace/trace.hpp"
 
 namespace {
 
@@ -383,7 +383,19 @@ TEST(Monitor, PairsCombiningFacadeWithItsRingEntry) {
   EXPECT_DOUBLE_EQ(fc->comb_engagement, 1.0);
 }
 
-TEST(Monitor, LatencyReservoirFeedsPercentiles) {
+const QueueRates* rates_of(const HealthSnapshot& snap, const std::string& name) {
+  for (const QueueRates& q : snap.queues) {
+    if (q.queue == name) {
+      return &q;
+    }
+  }
+  return nullptr;
+}
+
+TEST(Monitor, SampledOpSpansFeedPercentiles) {
+#if !EVQ_TRACE
+  GTEST_SKIP() << "op spans are compiled out with EVQ_TRACE=0";
+#else
   health::MonitorOptions o;
   o.latency_sample_every = 1;  // sample every op for the test
   health::Monitor m(o);
@@ -397,18 +409,60 @@ TEST(Monitor, LatencyReservoirFeedsPercentiles) {
     ASSERT_NE(q.try_pop(h), nullptr);
   }
   HealthSnapshot snap = m.poll();
-  const QueueRates* r = nullptr;
-  for (const QueueRates& qr : snap.queues) {
-    if (qr.queue == "health-lat-q") {
-      r = &qr;
-    }
-  }
+  const QueueRates* r = rates_of(snap, "health-lat-q");
   ASSERT_NE(r, nullptr);
-#if EVQ_TELEMETRY
-  EXPECT_GE(r->push_p50_ns, 0.0) << "reservoir must hold push samples";
-  EXPECT_GE(r->pop_p50_ns, 0.0) << "reservoir must hold pop samples";
+  EXPECT_GE(r->push_p50_ns, 0.0) << "spans must hold push samples";
+  EXPECT_GE(r->pop_p50_ns, 0.0) << "spans must hold pop samples";
   EXPECT_GE(r->push_p99_ns, r->push_p50_ns);
   EXPECT_GE(r->pop_p99_ns, r->pop_p50_ns);
+#endif
+}
+
+TEST(Monitor, SplitsOneThreadsSpansByQueueAndDirection) {
+#if !EVQ_TRACE
+  GTEST_SKIP() << "op spans are compiled out with EVQ_TRACE=0";
+#else
+  ASSERT_EQ(trace::sampling_period(), 0u);
+  health::MonitorOptions o;
+  o.latency_sample_every = 1;
+  {
+    health::Monitor m(o);
+    EXPECT_EQ(trace::sampling_period(), 1u) << "the Monitor switches sampling on";
+
+    // One thread, one span ring: the pushes of one queue (8 ok, then full)
+    // interleave with the empty pops of the other.
+    CasArrayQueue<int> pushed(8, "health-lat-push-only");
+    CasArrayQueue<int> popped(8, "health-lat-pop-only");
+    auto hp = pushed.handle();
+    auto hq = popped.handle();
+    int v = 0;
+    for (int i = 0; i < 32; ++i) {
+      EXPECT_EQ(pushed.try_push(hp, &v), i < 8);
+      EXPECT_EQ(popped.try_pop(hq), nullptr);
+    }
+    const HealthSnapshot snap = m.poll();
+    const QueueRates* a = rates_of(snap, "health-lat-push-only");
+    const QueueRates* b = rates_of(snap, "health-lat-pop-only");
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_GE(a->push_p50_ns, 0.0) << "push_ok and push_full are push samples";
+    EXPECT_GE(a->push_p99_ns, a->push_p50_ns);
+    EXPECT_LT(a->pop_p50_ns, 0.0) << "no pop ran on this queue";
+    EXPECT_LT(a->pop_p99_ns, 0.0);
+    EXPECT_GE(b->pop_p50_ns, 0.0) << "pop_empty is a pop sample";
+    EXPECT_GE(b->pop_p99_ns, b->pop_p50_ns);
+    EXPECT_LT(b->push_p50_ns, 0.0) << "no push ran on this queue";
+    EXPECT_LT(b->push_p99_ns, 0.0);
+  }
+  EXPECT_EQ(trace::sampling_period(), 0u) << "the Monitor restores what it changed";
+
+  trace::set_sampling(5);
+  {
+    const health::Monitor m(o);
+    EXPECT_EQ(trace::sampling_period(), 5u) << "a period already set wins";
+  }
+  EXPECT_EQ(trace::sampling_period(), 5u) << "a period the Monitor did not set stays";
+  trace::set_sampling(0);
 #endif
 }
 

@@ -32,7 +32,6 @@
 #include "evq/core/scq_queue.hpp"
 #include "evq/llsc/packed_llsc.hpp"
 #include "evq/telemetry/flight_recorder.hpp"
-#include "evq/telemetry/latency.hpp"
 #include "evq/trace/trace.hpp"
 #include "evq/verify/fifo_checkers.hpp"
 
@@ -291,16 +290,12 @@ TEST(IndexPolicyAttribution, FaaCatchUpReportsOwnJumpsOnly) {
 class SampledHooksOff {
  public:
   SampledHooksOff()
-      : trace_every_(trace::sampling_period()),
-        latency_every_(telemetry::latency_sampling_period()),
-        tracing_(telemetry::tracing_enabled()) {
+      : trace_every_(trace::sampling_period()), tracing_(telemetry::tracing_enabled()) {
     trace::set_sampling(0);
-    telemetry::set_latency_sampling(0);
     telemetry::set_tracing(false);
   }
   ~SampledHooksOff() {
     trace::set_sampling(trace_every_);
-    telemetry::set_latency_sampling(latency_every_);
     telemetry::set_tracing(tracing_);
   }
   SampledHooksOff(const SampledHooksOff&) = delete;
@@ -308,7 +303,6 @@ class SampledHooksOff {
 
  private:
   std::uint32_t trace_every_;
-  std::uint32_t latency_every_;
   bool tracing_;
 };
 
@@ -317,14 +311,14 @@ TEST(SampledHookGate, FollowsEverySetting) {
   ASSERT_FALSE(evq::detail::sampled_hooks_on());
   trace::set_sampling(8);
   EXPECT_TRUE(evq::detail::sampled_hooks_on());
-  telemetry::set_latency_sampling(4);
   trace::set_sampling(0);
-  EXPECT_TRUE(evq::detail::sampled_hooks_on()) << "latency sampling is still on";
-  telemetry::set_latency_sampling(0);
   EXPECT_FALSE(evq::detail::sampled_hooks_on());
   telemetry::set_tracing(true);
   EXPECT_TRUE(evq::detail::sampled_hooks_on());
+  trace::set_sampling(8);
   telemetry::set_tracing(false);
+  EXPECT_TRUE(evq::detail::sampled_hooks_on()) << "trace sampling is still on";
+  trace::set_sampling(0);
   EXPECT_FALSE(evq::detail::sampled_hooks_on());
 }
 
@@ -348,7 +342,7 @@ TYPED_TEST(SampledHookGateTest, BothBodiesCountTheSame) {
   Token* out[4] = {};
   for (const bool sampled : {false, true}) {
     SCOPED_TRACE(sampled ? "sampled body" : "idle body");
-    telemetry::set_latency_sampling(sampled ? 1 : 0);
+    trace::set_sampling(sampled ? 1 : 0);
     ASSERT_EQ(evq::detail::sampled_hooks_on(), sampled);
     EXPECT_EQ(q.try_pop(h), nullptr);
     EXPECT_EQ(q.try_pop_n(h, out, 4), 0u);

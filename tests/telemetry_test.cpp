@@ -599,6 +599,9 @@ TEST(FinishOp, OnlyTheRecordingBodyWritesTheFlightRecord) {
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryEndToEnd, RingQueueCountsOpsAndExportsDepth) {
+  // Registry entries outlive their queues, so every count is read as a
+  // delta: the test passes however often it runs in one process.
+  const RegistrySnapshot before = snapshot_registry();
   int a = 1;
   int b = 2;
   {
@@ -607,7 +610,7 @@ TEST(TelemetryEndToEnd, RingQueueCountsOpsAndExportsDepth) {
     ASSERT_TRUE(q.try_push(h, &a));
     ASSERT_TRUE(q.try_push(h, &b));
 
-    const RegistrySnapshot live = snapshot_registry();
+    const RegistrySnapshot live = snapshot_delta(before, snapshot_registry());
     const QueueCounters* qc = live.find("tmtest-ring");
     ASSERT_NE(qc, nullptr);
     EXPECT_TRUE(qc->has_depth);
@@ -619,8 +622,9 @@ TEST(TelemetryEndToEnd, RingQueueCountsOpsAndExportsDepth) {
     EXPECT_EQ(q.try_pop(h), &b);
     EXPECT_EQ(q.try_pop(h), nullptr);
 #if EVQ_TELEMETRY
-    EXPECT_EQ(q.metrics().value(Counter::kPopOk), 2u);
-    EXPECT_EQ(q.metrics().value(Counter::kPopEmpty), 1u);
+    const RegistrySnapshot done = snapshot_delta(before, snapshot_registry());
+    EXPECT_EQ(done.find("tmtest-ring")->counters[Counter::kPopOk], 2u);
+    EXPECT_EQ(done.find("tmtest-ring")->counters[Counter::kPopEmpty], 1u);
 #endif
   }
   // Destruction removes the gauge but the entry (a monotone counter series)
@@ -632,6 +636,7 @@ TEST(TelemetryEndToEnd, RingQueueCountsOpsAndExportsDepth) {
 }
 
 TEST(TelemetryEndToEnd, ScqQueueCountsFaaReservesAndSlotSkips) {
+  const RegistrySnapshot before = snapshot_registry();
   int a = 1;
   int b = 2;
   {
@@ -640,7 +645,7 @@ TEST(TelemetryEndToEnd, ScqQueueCountsFaaReservesAndSlotSkips) {
     ASSERT_TRUE(q.try_push(h, &a));
     ASSERT_TRUE(q.try_push(h, &b));
 
-    const RegistrySnapshot live = snapshot_registry();
+    const RegistrySnapshot live = snapshot_delta(before, snapshot_registry());
     const QueueCounters* qc = live.find("tmtest-scq");
     ASSERT_NE(qc, nullptr);
     EXPECT_TRUE(qc->has_depth);
@@ -658,10 +663,12 @@ TEST(TelemetryEndToEnd, ScqQueueCountsFaaReservesAndSlotSkips) {
     // FAA ticket plus a cycle-bump skip CAS on the allocated ring.
     EXPECT_EQ(q.try_pop(h), nullptr);
 #if EVQ_TELEMETRY
-    EXPECT_EQ(q.metrics().value(Counter::kPopOk), 2u);
-    EXPECT_EQ(q.metrics().value(Counter::kPopEmpty), 1u);
-    EXPECT_GE(q.metrics().value(Counter::kSlotSkip), 1u);
-    EXPECT_GE(q.metrics().value(Counter::kFaaReserve), 7u);
+    const RegistrySnapshot done = snapshot_delta(before, snapshot_registry());
+    const CounterSnapshot& c = done.find("tmtest-scq")->counters;
+    EXPECT_EQ(c[Counter::kPopOk], 2u);
+    EXPECT_EQ(c[Counter::kPopEmpty], 1u);
+    EXPECT_GE(c[Counter::kSlotSkip], 1u);
+    EXPECT_GE(c[Counter::kFaaReserve], 7u);
 #endif
   }
   const RegistrySnapshot after = snapshot_registry();
@@ -671,6 +678,7 @@ TEST(TelemetryEndToEnd, ScqQueueCountsFaaReservesAndSlotSkips) {
 }
 
 TEST(TelemetryEndToEnd, ShardedFacadeAggregatesShardCounters) {
+  const RegistrySnapshot before = snapshot_registry();
   constexpr std::size_t kTokens = 64;
   int vals[kTokens];
   evq::ShardedQueue<evq::CasArrayQueue<int>> q(32, 4, "tmtest-sharded");
@@ -691,7 +699,7 @@ TEST(TelemetryEndToEnd, ShardedFacadeAggregatesShardCounters) {
 #if EVQ_TELEMETRY
   // Facade push_ok must equal the sum of the shard entries' push_ok: every
   // facade-accepted push landed in exactly one shard.
-  const RegistrySnapshot snap = snapshot_registry();
+  const RegistrySnapshot snap = snapshot_delta(before, snapshot_registry());
   const QueueCounters* facade = snap.find("tmtest-sharded");
   ASSERT_NE(facade, nullptr);
   std::uint64_t shard_push_ok = 0;
@@ -713,6 +721,7 @@ TEST(TelemetryEndToEnd, SegmentedFacadeDepthMatchesSegmentEntrySum) {
   // registers under "<facade>/seg", sharing ONE entry whose depth is the sum
   // of the live per-segment gauges. The facade's own gauge walks the chain —
   // the two must agree at every quiescent point.
+  const RegistrySnapshot before = snapshot_registry();
   constexpr std::size_t kTokens = 10;
   int vals[kTokens];
   evq::SegmentedQueue<evq::CasArrayQueue<int>> q(4, "tmtest-seg");
@@ -723,7 +732,7 @@ TEST(TelemetryEndToEnd, SegmentedFacadeDepthMatchesSegmentEntrySum) {
   }
 
   {
-    const RegistrySnapshot snap = snapshot_registry();
+    const RegistrySnapshot snap = snapshot_delta(before, snapshot_registry());
     const QueueCounters* facade = snap.find("tmtest-seg");
     const QueueCounters* segs = snap.find("tmtest-seg/seg");
     ASSERT_NE(facade, nullptr);
@@ -744,7 +753,7 @@ TEST(TelemetryEndToEnd, SegmentedFacadeDepthMatchesSegmentEntrySum) {
   for (std::size_t i = 0; i < kTokens; ++i) {
     ASSERT_NE(q.try_pop(h), nullptr);
   }
-  const RegistrySnapshot snap = snapshot_registry();
+  const RegistrySnapshot snap = snapshot_delta(before, snapshot_registry());
   const QueueCounters* facade = snap.find("tmtest-seg");
   const QueueCounters* segs = snap.find("tmtest-seg/seg");
   ASSERT_NE(facade, nullptr);

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "evq/core/scq_queue.hpp"
 #include "evq/telemetry/registry.hpp"
 #include "evq/trace/chrome_trace.hpp"
 #include "evq/trace/trace.hpp"
@@ -102,6 +103,31 @@ TEST_F(TraceTest, SamplingRatioIsDeterministic) {
 #else
   EXPECT_EQ(ops, 0u);
   EXPECT_EQ(phases, 0u);
+#endif
+}
+
+TEST_F(TraceTest, SampledOpThatOpensNoPhaseHasADuration) {
+  // A fresh SCQ's allocated ring starts with its threshold spent, so an
+  // empty pop returns on the threshold fast path before opening any phase.
+  // The probe's constructor stamp still gives that op a real duration.
+  ScqQueue<int> q(4, "trace-scq-empty-pop");
+  auto h = q.handle();
+  set_sampling(1);
+  EXPECT_EQ(q.try_pop(h), nullptr);
+  std::size_t ops = 0;
+  for (const SpanSnapshot& s : snapshot_spans()) {
+    if (s.kind == EventKind::kOp) {
+      ++ops;
+      EXPECT_EQ(static_cast<OpOutcome>(s.code), OpOutcome::kPopEmpty);
+      EXPECT_GT(s.t_end, s.t_start);
+    } else {
+      ADD_FAILURE() << "the threshold fast path opens no phase";
+    }
+  }
+#if EVQ_TRACE
+  EXPECT_EQ(ops, 1u);
+#else
+  EXPECT_EQ(ops, 0u);
 #endif
 }
 
