@@ -71,7 +71,7 @@ int cmd_run(int argc, char** argv) {
   // Tracing spans the whole command: sampling goes live before the first
   // scenario and the export at the end covers the surviving ring window
   // (newest ~4096 spans per thread). --trace-sample alone enables recording
-  // without an export — that is what the trace-overhead A/B uses.
+  // without an export — that is what the layer-overhead trace A/B uses.
   unsigned trace_every = overrides.trace_sample_every.value_or(0);
   if (trace_every == 0 && !overrides.trace_path.empty()) {
     trace_every = 64;

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Smoke tests for scripts/bench_diff.py (run by CTest as `bench_diff_py`).
 
-bench_diff.py is the regression gate wired into three CI jobs
-(bench-build, trace-overhead, telemetry-overhead, combining-overhead), so its
-exit-code contract IS the gate: these tests pin the join semantics
+bench_diff.py is the regression gate behind the bench-release CI job's
+baseline diff and its telemetry, trace, health and perf layer-overhead A/B
+steps, so its exit-code contract IS the gate: these tests pin the join semantics
 (scenario/series/row), the mean and p50/p99 thresholds, the one-sided-scenario
 warning path, and the --fail-on-regress / --fail-over exit codes.
 

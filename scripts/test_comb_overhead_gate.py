@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Smoke tests for scripts/comb_overhead_gate.py (CTest: `comb_overhead_gate_py`).
 
-The gate is the CI job that keeps the flat-combining facade honest about its
+The gate is the CI step that keeps the flat-combining facade honest about its
 uncontended tax (EXPERIMENTS.md E10): it compares facade vs bare-ring series
 WITHIN one bench document, row by row, and exits 1 past --threshold. These
 tests pin the pairing logic, the exit-code contract, the schema acceptance

@@ -351,7 +351,7 @@ class CombiningQueue {
 
   bool submit_push(Handle& h, T* node) noexcept {
     telemetry_.inc(telemetry::Counter::kCombSubmit);
-    trace::OpProbe probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPush);
+    trace::OpProbe probe(telemetry_.queue_id());
     Record* r = announce(h, kPendingPush, node);
     if (r == nullptr) {
       return inner_.try_push(h.inner_, node);
@@ -368,7 +368,7 @@ class CombiningQueue {
 
   T* submit_pop(Handle& h) noexcept {
     telemetry_.inc(telemetry::Counter::kCombSubmit);
-    trace::OpProbe probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPop);
+    trace::OpProbe probe(telemetry_.queue_id());
     Record* r = announce(h, kPendingPop, nullptr);
     if (r == nullptr) {
       return inner_.try_pop(h.inner_);

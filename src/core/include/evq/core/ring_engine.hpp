@@ -397,7 +397,7 @@ class BoundedRing {
   /// recording hook is on: the same calls, all empty, so that body keeps no
   /// probe state.
   struct IdleProbe {
-    IdleProbe(std::uint32_t, trace::OpProbe::OpKind) noexcept {}
+    explicit IdleProbe(std::uint32_t) noexcept {}
     void begin_phase(trace::Phase) noexcept {}
     void help_advance(std::uint64_t, trace::HelpTarget) noexcept {}
     void helped(std::uint64_t, trace::HelpTarget) noexcept {}
@@ -464,7 +464,7 @@ class BoundedRing {
     typename SlotPolicy::OpCtx ctx = policy_.begin_op(h);
     ContentionPolicy backoff;
     std::uint32_t retries = 0;
-    ProbeFor<kSampled> probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPush);
+    ProbeFor<kSampled> probe(telemetry_.queue_id());
     for (;;) {
       EVQ_INJECT_POINT(SlotPolicy::kPushEnter);
       probe.begin_phase(trace::Phase::kIndexLoad);
@@ -597,7 +597,7 @@ class BoundedRing {
     typename SlotPolicy::OpCtx ctx = policy_.begin_op(h);
     ContentionPolicy backoff;
     std::uint32_t retries = 0;
-    ProbeFor<kSampled> probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPop);
+    ProbeFor<kSampled> probe(telemetry_.queue_id());
     for (;;) {
       EVQ_INJECT_POINT(SlotPolicy::kPopEnter);
       probe.begin_phase(trace::Phase::kIndexLoad);

@@ -575,7 +575,7 @@ class ScqQueue {
   bool push_one(T* node) noexcept {
     EVQ_DCHECK(node != nullptr, "cannot enqueue nullptr (it denotes an empty slot)");
     std::uint32_t retries = 0;
-    trace::OpProbe probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPush);
+    trace::OpProbe probe(telemetry_.queue_id());
     EVQ_INJECT_POINT(kPushEnter);
     ScqRing::Io io{telemetry_, probe, retries};
     const std::uint64_t idx = fq_.dequeue<ContentionPolicy>(io);
@@ -605,7 +605,7 @@ class ScqQueue {
 
   T* pop_one() noexcept {
     std::uint32_t retries = 0;
-    trace::OpProbe probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPop);
+    trace::OpProbe probe(telemetry_.queue_id());
     EVQ_INJECT_POINT(kPopEnter);
     ScqRing::Io io{telemetry_, probe, retries};
     const std::uint64_t idx = aq_.dequeue<ContentionPolicy>(io);

@@ -298,7 +298,7 @@ class SegmentedQueue {
   /// fresh segment appended. Returns false only on allocation failure, which
   /// `new` turns into an exception instead — i.e. never.
   bool try_push(Handle& h, value_type* node) {
-    trace::OpProbe probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPush);
+    trace::OpProbe probe(telemetry_.queue_id());
     std::uint32_t retries = 0;
     EVQ_INJECT_POINT(seg_detail::kSegPushEnter);
     domain_.pin(h.rec_);
@@ -373,7 +373,7 @@ class SegmentedQueue {
   /// ever reported off the LAST segment — a drained sealed segment with a
   /// successor is unlinked and retired instead).
   value_type* try_pop(Handle& h) {
-    trace::OpProbe probe(telemetry_.queue_id(), trace::OpProbe::OpKind::kPop);
+    trace::OpProbe probe(telemetry_.queue_id());
     std::uint32_t retries = 0;
     EVQ_INJECT_POINT(seg_detail::kSegPopEnter);
     domain_.pin(h.rec_);

@@ -779,24 +779,40 @@ ScenarioSpec backoff_spec() {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry-overhead smoke: the fig6a workload shape on the two paper
-// algorithms, small enough for CI. Run once against a telemetry-on build and
-// once against -DEVQ_TELEMETRY=OFF, then diff the two JSON documents
-// (scripts/bench_diff.py --threshold 1 --fail-on-regress) to prove the
-// always-on counters cost < 1% throughput.
+// Layer-overhead A/B: the fig6a workload shape, small enough for CI, priced
+// with each observability layer compiled out, idle, or live. Every
+// comparison is scripts/bench_diff.py on two JSON documents of this one
+// scenario; the idle run of the default build is the candidate of each
+// compiled-out pair and the baseline of each live pair:
+//   telemetry  -DEVQ_TELEMETRY=OFF build vs idle   report >1%, fail >20% (E6)
+//   trace      -DEVQ_TRACE=OFF build vs idle       report >1%, fail >20%
+//              idle vs --trace-sample 64           advisory, >5% (E7)
+//   health     idle vs --health                    report >1%, fail >5% (E11)
+//   perf       -DEVQ_PERF=OFF build vs idle        report >1%, fail >5%
+//              idle vs --perf                      report >1%, fail >5% (E12)
+// The 20% bound is where a lock-prefixed RMW or an allocation on the hot
+// path lives; the disarmed probes and idle scopes measure ~0 in practice.
+// --health's Monitor is cold-path, so its whole cost is the 1-in-64 trace
+// sampling it switches on. --perf's scopes wrap the whole worker body, so
+// the per-op cost is zero; on a perf-denied host the run doubles as the
+// null-backend degradation check (same numbers, explicit reason record).
+//
+// Why each series is here: the two array queues are the worst case (a
+// 40-60ns op leaves a counter increment or a probe gate nowhere to hide);
+// ms-hp adds the reclaim probes and shows the same absolute cost vanishing
+// into realistic per-op work; scq runs the FAA path the health burn
+// detector watches; comb-scq is the E12 attribution subject with the most
+// machinery per op.
 // ---------------------------------------------------------------------------
 
-ScenarioSpec telemetry_overhead_spec() {
+ScenarioSpec layer_overhead_spec() {
   ScenarioSpec spec;
-  spec.name = "telemetry-overhead";
-  spec.title = "Telemetry overhead: paper algorithms with always-on counters";
-  spec.summary = "Observability — telemetry-on vs -DEVQ_TELEMETRY=OFF cost (EXPERIMENTS.md)";
+  spec.name = "layer-overhead";
+  spec.title = "Layer overhead: paper algorithms with each observability layer";
+  spec.summary = "Observability — each layer compiled out vs idle vs live (E6, E7, E11, E12)";
   spec.default_threads = {1, 2, 4};
   spec.rows = thread_rows;
-  // The two array queues are the worst case (40-60ns/op leaves the couple of
-  // striped-counter increments nowhere to hide); ms-hp shows the same
-  // absolute cost disappearing into a queue with realistic per-op work.
-  spec.series = registry_series({"fifo-llsc", "fifo-simcas", "ms-hp"});
+  spec.series = registry_series({"fifo-llsc", "fifo-simcas", "scq", "ms-hp", "comb-scq"});
   return spec;
 }
 
@@ -837,82 +853,6 @@ ScenarioSpec pairwise_spec() {
     return rows;
   };
   spec.series = registry_series({"fifo-llsc", "fifo-simcas", "comb-cas"});
-  return spec;
-}
-
-// ---------------------------------------------------------------------------
-// Trace-overhead A/B: the telemetry-overhead shape, reused to price the
-// evq::trace probes. Three comparisons, all via bench_diff.py on the JSON:
-//   baseline   evq-bench run trace-overhead --json off.json
-//   sampled    evq-bench run trace-overhead --trace-sample 64 --json on.json
-//     (same binary; EXPERIMENTS.md E7 budget: <= 5% mean-op-time overhead)
-//   compiled   trace-on vs -DEVQ_TRACE=OFF builds (CI job, < 20% guard on
-//     the disarmed-probe cost, which measures ~0 in practice)
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Health-overhead A/B: the telemetry-overhead shape, reused to price the
-// evq::health Monitor and the op-span sampling it switches on. Same-binary
-// comparison via bench_diff.py on the JSON documents:
-//   baseline   evq-bench run health-overhead --json off.json
-//   monitored  evq-bench run health-overhead --health --json on.json
-// (EXPERIMENTS.md E11 budget: <= 5% mean-op-time overhead — the Monitor is
-// cold-path, so the whole cost is the 1-in-64 trace sampling: every ring op
-// runs its sampled body, and one op in 64 writes its spans.)
-// ---------------------------------------------------------------------------
-
-ScenarioSpec health_overhead_spec() {
-  ScenarioSpec spec;
-  spec.name = "health-overhead";
-  spec.title = "Health overhead: paper algorithms with Monitor + sampled op spans";
-  spec.summary = "Observability — monitor-off vs --health cost (EXPERIMENTS.md E11)";
-  spec.default_threads = {1, 2, 4};
-  spec.rows = thread_rows;
-  // The array queues price the sampled body and its probe gate with
-  // nowhere to hide; scq samples the FAA path the burn detector watches.
-  spec.series = registry_series({"fifo-llsc", "fifo-simcas", "scq"});
-  return spec;
-}
-
-// ---------------------------------------------------------------------------
-// Perf-overhead A/B: the telemetry-overhead shape, reused to price the
-// evq::perf counter scopes. Same-binary comparison via bench_diff.py on the
-// JSON documents:
-//   baseline   evq-bench run perf-overhead --json off.json
-//   counted    evq-bench run perf-overhead --perf --json on.json
-// (EXPERIMENTS.md E12 budget: <= 5% mean-op-time overhead — the scopes are
-// per-thread RAII around the whole worker body, so the per-op cost is zero;
-// what the gate prices is the group open/read at thread start/finish.)
-// On a perf-denied host the scopes are dead and the run doubles as the
-// null-backend degradation check: same numbers, explicit reason record.
-// The CI job also compares against a -DEVQ_PERF=OFF build (<= 1% guard on
-// the compiled-out cost, which measures ~0 in practice).
-// ---------------------------------------------------------------------------
-
-ScenarioSpec perf_overhead_spec() {
-  ScenarioSpec spec;
-  spec.name = "perf-overhead";
-  spec.title = "Perf overhead: paper algorithms with hardware-counter scopes";
-  spec.summary = "Observability — counters-off vs --perf cost (EXPERIMENTS.md E12)";
-  spec.default_threads = {1, 2, 4};
-  spec.rows = thread_rows;
-  // The two array queues are the worst case (any per-op cost would have
-  // nowhere to hide in a 40-60ns op); comb-scq is the E12 attribution
-  // subject with the most machinery per op.
-  spec.series = registry_series({"fifo-llsc", "fifo-simcas", "comb-scq"});
-  return spec;
-}
-
-ScenarioSpec trace_overhead_spec() {
-  ScenarioSpec spec;
-  spec.name = "trace-overhead";
-  spec.title = "Trace overhead: paper algorithms with sampled phase probes";
-  spec.summary = "Observability — tracing-off vs --trace-sample 64 cost (EXPERIMENTS.md E7)";
-  spec.default_threads = {1, 2, 4};
-  spec.rows = thread_rows;
-  // Same worst-case reasoning as telemetry-overhead: the array queues leave
-  // a disarmed probe nowhere to hide; ms-hp adds the reclaim-probe paths.
-  spec.series = registry_series({"fifo-llsc", "fifo-simcas", "ms-hp"});
   return spec;
 }
 
@@ -1017,11 +957,8 @@ std::vector<ScenarioSpec> build_scenarios() {
   specs.push_back(scq_spec());
   specs.push_back(burst_spec());
   specs.push_back(backoff_spec());
-  specs.push_back(telemetry_overhead_spec());
-  specs.push_back(health_overhead_spec());
+  specs.push_back(layer_overhead_spec());
   specs.push_back(pairwise_spec());
-  specs.push_back(trace_overhead_spec());
-  specs.push_back(perf_overhead_spec());
   specs.push_back(combining_spec());
   specs.push_back(combining_overhead_spec());
   return specs;

@@ -4,8 +4,8 @@
 // derived per-queue rates, per-thread progress, and typed findings with
 // hysteresis. Everything here is cold-path — the only hot-path cost of
 // running a Monitor is the trace layer's 1-in-N op sampling it enables,
-// whose op spans give the latency percentiles (gated at <= 5% total by CI's
-// health-overhead job).
+// whose op spans give the latency percentiles (gated at <= 5% total by the
+// layer-overhead --health A/B in CI).
 //
 // The split between the pieces is deliberate:
 //  * rate derivation (Monitor, monitor.hpp) owns the registry/flight-

@@ -270,7 +270,7 @@ std::vector<SpanSnapshot> snapshot_spans();
 /// RAII probe wrapping one ring-engine operation. The ring engine drives it
 /// explicitly:
 ///
-///   OpProbe probe(queue_id, OpKind::kPush);
+///   OpProbe probe(queue_id);
 ///   loop:
 ///     probe.begin_phase(Phase::kIndexLoad);   // closes the previous phase
 ///     ... probe.begin_phase(Phase::kSlotAttempt); ...
@@ -286,8 +286,6 @@ std::vector<SpanSnapshot> snapshot_spans();
 /// no pairs.
 class OpProbe {
  public:
-  enum class OpKind : std::uint8_t { kPush = 0, kPop };
-
   /// Values of SpanSnapshot::extra on kHelp records.
   static constexpr std::uint32_t kHelperSide = 0;
   static constexpr std::uint32_t kHelpedSide = 1;
@@ -295,17 +293,15 @@ class OpProbe {
   /// An armed probe stamps the op start here, so every sampled op has a
   /// real duration, including one that returns before opening a phase
   /// (SCQ's threshold empty pop).
-  EVQ_ALWAYS_INLINE OpProbe(std::uint32_t queue_id, OpKind kind) noexcept {
+  EVQ_ALWAYS_INLINE explicit OpProbe(std::uint32_t queue_id) noexcept {
 #if EVQ_TRACE
     queue_id_ = queue_id;
-    kind_ = kind;
     armed_ = detail::arm_sample();
     if (armed_) {
       t_op_start_ = telemetry::trace_clock();
     }
 #else
     (void)queue_id;
-    (void)kind;
 #endif
   }
 
@@ -400,7 +396,6 @@ class OpProbe {
   }
 
   std::uint32_t queue_id_ = kNoQueue;
-  OpKind kind_ = OpKind::kPush;
   bool armed_ = false;
   std::uint8_t phase_ = kNoPhase;
   std::uint64_t t_op_start_ = 0;

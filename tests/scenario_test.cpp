@@ -25,23 +25,33 @@ using namespace evq::harness;
 
 TEST(ScenarioRegistry, EveryRetiredBinaryHasAScenario) {
   // The 13 harness-based bench mains this driver replaced, plus the
-  // observability scenarios (telemetry-overhead smoke, the E7 pairwise
-  // trace workload, the trace-overhead A/B, the E10 combining-overhead
-  // A/B, the E11 health-overhead A/B, the E12 perf-overhead A/B), the E8
+  // observability scenarios (the E6/E7/E11/E12 layer-overhead A/B, the E7
+  // pairwise trace workload, the E10 combining-overhead A/B), the E8
   // cross-generation SCQ head-to-head, the E9 segmented-queue burst
   // comparison, and the E10 combining ladder. A scenario disappearing from
   // the registry silently drops an experiment.
   const std::set<std::string> expected = {
       "fig6a",         "fig6b",       "fig6c",     "fig6d",             "overhead",
       "op-profile",    "ablation-llsc", "ablation-hp", "ablation-capacity", "ext-mixed",
-      "ext-reclaim",   "sharded",     "scq",       "backoff",   "telemetry-overhead",
-      "pairwise",      "trace-overhead", "burst",  "combining", "combining-overhead",
-      "health-overhead", "perf-overhead"};
+      "ext-reclaim",   "sharded",     "scq",       "backoff",   "layer-overhead",
+      "pairwise",      "burst",       "combining", "combining-overhead"};
   std::set<std::string> got;
   for (const ScenarioSpec& spec : all_scenarios()) {
     EXPECT_TRUE(got.insert(spec.name).second) << "duplicate scenario " << spec.name;
   }
   EXPECT_EQ(got, expected);
+}
+
+TEST(ScenarioRegistry, LayerOverheadCoversEveryLayerGateSeries) {
+  // One scenario serves the telemetry, trace, health and perf A/B gates, so
+  // its series must stay the union of what each gate prices: dropping one
+  // would silently narrow a gate.
+  std::vector<std::string> names;
+  for (const QueueSpec& q : find_scenario("layer-overhead").series()) {
+    names.push_back(q.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"fifo-llsc", "fifo-simcas", "scq", "ms-hp",
+                                             "comb-scq"}));
 }
 
 TEST(ScenarioRegistry, SpecsAreWellFormed) {
@@ -143,7 +153,7 @@ TEST(ScenarioRun, LatencySamplingFillsHistograms) {
 }
 
 TEST(ScenarioRun, TelemetryDeltaCapturesQueueCounters) {
-  const ScenarioSpec& spec = find_scenario("telemetry-overhead");
+  const ScenarioSpec& spec = find_scenario("layer-overhead");
   CliOverrides ov;
   ov.thread_counts = std::vector<unsigned>{1};
   ov.iterations = 50;
@@ -177,7 +187,7 @@ TEST(ScenarioRun, PerfNullBackendDegradesToExplicitRecord) {
   // backend and the reason instead of going silent.
   evq::perf::NullBackend null_backend("forced by test");
   evq::perf::set_default_backend_for_testing(&null_backend);
-  const ScenarioSpec& spec = find_scenario("perf-overhead");
+  const ScenarioSpec& spec = find_scenario("layer-overhead");
   CliOverrides ov;
   ov.thread_counts = std::vector<unsigned>{1};
   ov.iterations = 20;
@@ -216,7 +226,7 @@ TEST(ScenarioRun, PerfMockBackendFillsCells) {
   // available all the way into the JSON cell.
   evq::perf::MockBackend mock;
   evq::perf::set_default_backend_for_testing(&mock);
-  const ScenarioSpec& spec = find_scenario("perf-overhead");
+  const ScenarioSpec& spec = find_scenario("layer-overhead");
   CliOverrides ov;
   ov.thread_counts = std::vector<unsigned>{1};
   ov.iterations = 20;

@@ -68,7 +68,7 @@ TEST_F(TraceTest, EnumNamesArePinned) {
 TEST_F(TraceTest, DisabledProbesRecordNothing) {
   ASSERT_FALSE(enabled());
   for (std::uint64_t i = 0; i < 16; ++i) {
-    OpProbe probe(7, OpProbe::OpKind::kPush);
+    OpProbe probe(7);
     probe.begin_phase(Phase::kIndexLoad);
     probe.helped(i, HelpTarget::kTail);  // even always-on markers gate on enabled()
     probe.finish(OpOutcome::kPushOk, i, 0);
@@ -81,7 +81,7 @@ TEST_F(TraceTest, SamplingRatioIsDeterministic) {
   // then every 4th: 32 probes -> exactly 8 sampled ops, indices 0,4,8,...
   set_sampling(4);
   for (std::uint64_t i = 0; i < 32; ++i) {
-    OpProbe probe(7, OpProbe::OpKind::kPush);
+    OpProbe probe(7);
     probe.begin_phase(Phase::kIndexLoad);
     probe.begin_phase(Phase::kSlotAttempt);
     probe.finish(OpOutcome::kPushOk, i, 0);
@@ -197,11 +197,11 @@ TEST_F(TraceTest, HelpMarkersAreAlwaysOnWhileSampled) {
   // record instant markers, or the exporter would almost never find a pair.
   set_sampling(1000);
   {
-    OpProbe armed(3, OpProbe::OpKind::kPush);
+    OpProbe armed(3);
     armed.finish(OpOutcome::kPushOk, 0, 0);
   }
   {
-    OpProbe unsampled(3, OpProbe::OpKind::kPush);
+    OpProbe unsampled(3);
     unsampled.help_advance(41, HelpTarget::kTail);
     unsampled.helped(42, HelpTarget::kTail);
     unsampled.finish(OpOutcome::kPushOk, 1, 0);
@@ -403,10 +403,10 @@ TEST_F(TraceTest, ExportRacesWithWritersSafely) {
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&stop, t] {
+    writers.emplace_back([&stop] {
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        OpProbe probe(2, t % 2 == 0 ? OpProbe::OpKind::kPush : OpProbe::OpKind::kPop);
+        OpProbe probe(2);
         probe.begin_phase(Phase::kIndexLoad);
         probe.begin_phase(Phase::kSlotAttempt);
         if (i % 17 == 0) {
