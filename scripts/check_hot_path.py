@@ -8,9 +8,9 @@ script disassembles a Release build (`objdump -d -C`) and inspects
 `BoundedRing<...>::push_one` and `pop_one` for Algorithm 2
 (`CasSlotPolicy`) and Algorithm 1 (`LlscSlotPolicy<..., PackedLlsc>`), the
 op bodies they dispatch to (`pop_idle`, `push_sampled`, `pop_sampled`),
-`ScqQueue<...>::push_one` and `pop_one`, all with the `NullBackoff`
-contention policy, and all their compiler clones (`[clone .cold]`, `.isra`,
-...). It fails when one of them calls an idle hook:
+`ScqQueue<...>::push_one` and `pop_one`, the rings with the `NullBackoff`
+contention policy (SCQ has none), and all their compiler clones
+(`[clone .cold]`, `.isra`, ...). It fails when one of them calls an idle hook:
 
   on_cas  on_faa  on_slot_sc  on_help_advance  arm_sample  record_trace
   count_ring_event  finish_op  stripe_ordinal  reregister
@@ -30,19 +30,20 @@ import re
 import subprocess
 import sys
 
-# Checked queue -> (class template prefix, extra test on the qualified name).
+# A ring's last template argument is its contention policy.
+NULL_BACKOFF = re.compile(r",\s*evq::NullBackoff\s*>$")
+# Checked queue -> (class template prefix, extra test on the class name).
 QUEUES = {
-    "CasSlotPolicy": ("evq::BoundedRing<", lambda name: "CasSlotPolicy<" in name),
-    "LlscSlotPolicy<PackedLlsc>": ("evq::BoundedRing<", lambda name: "LlscSlotPolicy<" in name
-                                   and "PackedLlsc>" in name),
-    "ScqQueue": ("evq::ScqQueue<", lambda name: True),
+    "CasSlotPolicy": ("evq::BoundedRing<", lambda cls: "CasSlotPolicy<" in cls
+                      and NULL_BACKOFF.search(cls)),
+    "LlscSlotPolicy<PackedLlsc>": ("evq::BoundedRing<", lambda cls: "LlscSlotPolicy<" in cls
+                                   and "PackedLlsc>" in cls and NULL_BACKOFF.search(cls)),
+    "ScqQueue": ("evq::ScqQueue<", lambda cls: True),
 }
 OPS = ("push_one", "pop_one")
 # The ring op bodies push_one/pop_one dispatch to: checked like them when
 # present.
 BODIES = ("pop_idle", "push_sampled", "pop_sampled")
-# The class's last template argument is the contention policy.
-NULL_BACKOFF = re.compile(r",\s*evq::NullBackoff\s*>$")
 HOOKS = {"on_cas", "on_faa", "on_slot_sc", "on_help_advance", "arm_sample",
          "record_trace", "count_ring_event", "finish_op", "stripe_ordinal",
          "reregister"}
@@ -99,10 +100,9 @@ def classify(symbol):
     op = base_name(qualified)
     if op not in OPS + BODIES:
         return None
-    if not NULL_BACKOFF.search(qualified[:-len(op) - 2]):
-        return None
+    cls = qualified[:-len(op) - 2]
     for queue, (prefix, matches) in QUEUES.items():
-        if qualified.startswith(prefix) and matches(qualified):
+        if cls.startswith(prefix) and matches(cls):
             return queue, op
     return None
 
@@ -173,7 +173,7 @@ def main(argv=None):
         return 2
     if missing:
         for queue, op in missing:
-            print(f"check_hot_path: no {queue} {op} (NullBackoff) in the binary",
+            print(f"check_hot_path: no {queue} {op} in the binary",
                   file=sys.stderr)
         return 2
     if violations:

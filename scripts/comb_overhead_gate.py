@@ -2,15 +2,14 @@
 """CI gate for the flat-combining facade's uncontended tax (EXPERIMENTS.md E10).
 
 Reads ONE evq-bench JSON document (schema_version 1 or 2) and compares series
-WITHIN it: each combining facade against its bare inner ring, row by row,
-on mean_seconds. This intra-document comparison is what bench_diff.py cannot
+WITHIN its combining-overhead scenario: the comb-cas facade against its bare
+inner ring, fifo-simcas, row by row, on mean_seconds. This intra-document comparison is what bench_diff.py cannot
 do — it only joins identical series names across two documents — and it is
 the right shape for the facade gate: both series come from the same build,
 same run, same machine, so the quotient isolates the facade itself.
 
 Usage:
-  comb_overhead_gate.py bench.json [--scenario combining-overhead]
-      [--threshold 5] [--pair comb-cas:fifo-simcas] [--pair comb-scq:scq]
+  comb_overhead_gate.py bench.json [--threshold 5]
 
 Exit 1 when any facade row is more than --threshold percent slower than its
 bare-ring row. Faster-than-baseline rows always pass.
@@ -20,7 +19,8 @@ import argparse
 import json
 import sys
 
-DEFAULT_PAIRS = ["comb-cas:fifo-simcas", "comb-scq:scq"]
+SCENARIO = "combining-overhead"
+FACADE, BASE = "comb-cas", "fifo-simcas"
 
 
 def load(path):
@@ -48,53 +48,42 @@ def series_cells(scenario, name):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("json", help="evq-bench JSON document (schema 1 or 2)")
-    parser.add_argument("--scenario", default="combining-overhead",
-                        help="scenario holding both facade and bare-ring series")
     parser.add_argument("--threshold", type=float, default=5.0,
                         help="max tolerated facade overhead, percent (default 5)")
-    parser.add_argument("--pair", action="append", dest="pairs", metavar="FACADE:BASE",
-                        help="facade:bare-ring series pair (repeatable; default "
-                             + ", ".join(DEFAULT_PAIRS) + ")")
     args = parser.parse_args()
-    pairs = args.pairs or DEFAULT_PAIRS
 
     doc = load(args.json)
-    scenario = find_scenario(doc, args.scenario)
+    scenario = find_scenario(doc, SCENARIO)
     if scenario is None:
-        sys.exit(f"{args.json}: no scenario named {args.scenario!r}")
+        sys.exit(f"{args.json}: no scenario named {SCENARIO!r}")
     rows = [row.get("label", str(i + 1)) for i, row in enumerate(scenario.get("rows", []))]
 
+    facade = series_cells(scenario, FACADE)
+    base = series_cells(scenario, BASE)
+    if facade is None or base is None:
+        missing = FACADE if facade is None else BASE
+        sys.exit(f"{args.json}: scenario {SCENARIO!r} has no series {missing!r}")
     failures = []
     compared = 0
-    for pair in pairs:
-        try:
-            facade_name, base_name = pair.split(":", 1)
-        except ValueError:
-            sys.exit(f"--pair {pair!r}: expected FACADE:BASE")
-        facade = series_cells(scenario, facade_name)
-        base = series_cells(scenario, base_name)
-        if facade is None or base is None:
-            missing = facade_name if facade is None else base_name
-            sys.exit(f"{args.json}: scenario {args.scenario!r} has no series {missing!r}")
-        for i, (f_cell, b_cell) in enumerate(zip(facade, base)):
-            f_mean = f_cell.get("mean_seconds", 0.0)
-            b_mean = b_cell.get("mean_seconds", 0.0)
-            if b_mean <= 0.0:
-                continue
-            overhead = (f_mean / b_mean - 1.0) * 100.0
-            label = rows[i] if i < len(rows) else str(i + 1)
-            verdict = "over budget" if overhead > args.threshold else "ok"
-            print(f"{facade_name} vs {base_name} [{label}]: {overhead:+.1f}% ({verdict})")
-            compared += 1
-            if overhead > args.threshold:
-                failures.append((facade_name, base_name, label, overhead))
+    for i, (f_cell, b_cell) in enumerate(zip(facade, base)):
+        f_mean = f_cell.get("mean_seconds", 0.0)
+        b_mean = b_cell.get("mean_seconds", 0.0)
+        if b_mean <= 0.0:
+            continue
+        overhead = (f_mean / b_mean - 1.0) * 100.0
+        label = rows[i] if i < len(rows) else str(i + 1)
+        verdict = "over budget" if overhead > args.threshold else "ok"
+        print(f"{FACADE} vs {BASE} [{label}]: {overhead:+.1f}% ({verdict})")
+        compared += 1
+        if overhead > args.threshold:
+            failures.append((label, overhead))
 
     if compared == 0:
-        sys.exit(f"{args.json}: nothing compared — empty series in {args.scenario!r}")
+        sys.exit(f"{args.json}: nothing compared — empty series in {SCENARIO!r}")
     print(f"compared {compared} rows, threshold {args.threshold:.1f}%")
     if failures:
-        for facade_name, base_name, label, overhead in failures:
-            print(f"FAIL: {facade_name} is {overhead:+.1f}% over {base_name} at [{label}] "
+        for label, overhead in failures:
+            print(f"FAIL: {FACADE} is {overhead:+.1f}% over {BASE} at [{label}] "
                   f"(budget {args.threshold:.1f}%)", file=sys.stderr)
         return 1
     print("combining facade overhead within budget")

@@ -161,7 +161,7 @@ class BenchDiffTest(unittest.TestCase):
             "s": {"q": [(1.0, 1000.0)]},
             # 10x regression — but in a scenario the baseline lacks, so it
             # must be a warning, not a failure.
-            "combining": {"comb-scq": [(10.0, 100.0)]},
+            "combining": {"comb-cas": [(10.0, 100.0)]},
         }))
         r = self.run_diff(base, cand, "--fail-on-regress", "--fail-over", "5")
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)

@@ -31,7 +31,7 @@ CAS = (RING + "evq::CasSlotPolicy<evq::harness::Payload>, "
        "evq::NullBackoff>")
 LLSC = (RING + "evq::LlscSlotPolicy<evq::harness::Payload, evq::llsc::PackedLlsc>, "
         "evq::LlscIndexPolicy, evq::NullBackoff>")
-SCQ = "evq::ScqQueue<evq::harness::Payload, evq::NullBackoff>"
+SCQ = "evq::ScqQueue<evq::harness::Payload>"
 CAS_HANDLE = "evq::CasSlotPolicy<evq::harness::Payload>::Handle&"
 
 CLEAN_CALLS = [
@@ -69,8 +69,8 @@ def binary(extra_push_calls=(), cas_push_symbol=None, skip=()):
             f"{LLSC}::pop_one(evq::TrivialHandle&, unsigned long*) [clone .constprop.0]",
             CLEAN_CALLS, 0x5000),
         ("scq", "push"): function(f"{SCQ}::push_one(evq::harness::Payload*)",
-                                  CLEAN_CALLS + ["evq::ScqRing::enqueue<evq::NullBackoff>("
-                                                 "unsigned long, evq::ScqRing::Io&)"], 0x6000),
+                                  CLEAN_CALLS + ["evq::ScqRing::enqueue(unsigned long, "
+                                                 "evq::ScqRing::Io&)"], 0x6000),
         ("scq", "pop"): function(f"{SCQ}::pop_one()", CLEAN_CALLS, 0x7000),
     }
     lines = ["", "evq-bench:     file format elf64-x86-64", "",

@@ -3,11 +3,12 @@
 // The paper's retry loops (every failed CAS/SC restarts the operation) are
 // where contention melts throughput; a short bounded spin-then-yield backoff
 // keeps the algorithms lock-free while taming the retry storm. Backoff is a
-// tuning aid, not a correctness requirement — the conformance tests run every
-// queue both with and without it.
+// tuning aid, not a correctness requirement — the conformance suite runs
+// both paper rings with and without it.
 //
 // A ring's ContentionPolicy (core/ring_engine.hpp) is one of these waiters:
-// the engine calls pause() once per retry round and nothing else.
+// the engine calls pause() once per retry round and nothing else. The
+// combining facade's losers spin on a Backoff too; SCQ takes no policy.
 #pragma once
 
 #include <cstdint>

@@ -61,7 +61,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <type_traits>
+#include <utility>
 
 #include "evq/common/backoff.hpp"
 #include "evq/common/cacheline.hpp"
@@ -118,8 +118,9 @@ class CombiningQueue {
   /// of two); `name` is this facade's telemetry name, the inner ring
   /// registers under "<name>/ring".
   explicit CombiningQueue(std::size_t min_capacity, std::string_view name = "comb")
-      : CombiningQueue(min_capacity, name,
-                       std::bool_constant<std::is_constructible_v<Q, std::size_t, std::string_view>>{}) {}
+      : inner_(min_capacity, std::string(name) + "/ring"), telemetry_(name) {
+    telemetry_.set_depth_gauge([this] { return static_cast<std::uint64_t>(size_estimate()); });
+  }
 
   CombiningQueue(const CombiningQueue&) = delete;
   CombiningQueue& operator=(const CombiningQueue&) = delete;
@@ -179,13 +180,7 @@ class CombiningQueue {
     return inner_.capacity();
   }
 
-  [[nodiscard]] std::size_t size_estimate() noexcept {
-    if constexpr (requires { inner_.size_estimate(); }) {
-      return inner_.size_estimate();
-    } else {
-      return 0;
-    }
-  }
+  [[nodiscard]] std::size_t size_estimate() noexcept { return inner_.size_estimate(); }
 
   /// True while the adaptive heuristic routes ops through announce records
   /// (exposed for tests; racy read, like the heuristic itself).
@@ -231,19 +226,6 @@ class CombiningQueue {
     std::uint64_t serial = 0;
     std::uint32_t solo_streak = 0;
   };
-
-  CombiningQueue(std::size_t min_capacity, std::string_view name, std::true_type)
-      : inner_(min_capacity, std::string(name) + "/ring"), telemetry_(name) {
-    init();
-  }
-  CombiningQueue(std::size_t min_capacity, std::string_view name, std::false_type)
-      : inner_(min_capacity), telemetry_(name) {
-    init();
-  }
-
-  void init() {
-    telemetry_.set_depth_gauge([this] { return static_cast<std::uint64_t>(size_estimate()); });
-  }
 
   /// The per-op routing decision: announce when the queue believes it is
   /// contended, probe the announce path every kProbeEvery-th op otherwise.

@@ -64,7 +64,6 @@
 #include <memory>
 #include <string_view>
 
-#include "evq/common/backoff.hpp"
 #include "evq/common/cacheline.hpp"
 #include "evq/common/config.hpp"
 #include "evq/core/queue_traits.hpp"
@@ -253,9 +252,7 @@ class ScqRing {
   /// Returns false iff the ring is sealed (close()): the FAA ticket itself
   /// carries the CLOSED bit, so the check costs nothing on the open path and
   /// no pre-seal ticket is ever refused — exactly LSCQ's finalize contract.
-  template <typename ContentionPolicy = NoBackoff>
   bool enqueue(std::uint64_t index, Io io) noexcept {
-    ContentionPolicy backoff;
     for (;;) {
       io.probe.begin_phase(trace::Phase::kFaaReserve);
       EVQ_INJECT_POINT(points_.enq_reserve);
@@ -298,9 +295,10 @@ class ScqRing {
         }
         return true;
       }
+      // Retry round, counted and traced like the engine's; there is nothing
+      // to wait out (the FAA ticket never loses a race), so no pause.
       telemetry::count_ring_event(io.tm, telemetry::Counter::kBackoffRound);
       io.probe.begin_phase(trace::Phase::kBackoff);
-      backoff.pause();
       ++io.retries;
     }
   }
@@ -311,12 +309,10 @@ class ScqRing {
   /// its own cycle (or marks a held entry unsafe), then — if it overran the
   /// tail — catches the tail up and charges the threshold; ⊥ is only
   /// reported off the threshold, which enqueue re-arms on every success.
-  template <typename ContentionPolicy = NoBackoff>
   std::uint64_t dequeue(Io io) noexcept {
     if (threshold_.value.load(std::memory_order_seq_cst) < 0) {             // D: fast path
       return kBottom;
     }
-    ContentionPolicy backoff;
     for (;;) {
       io.probe.begin_phase(trace::Phase::kFaaReserve);
       EVQ_INJECT_POINT(points_.deq_reserve);
@@ -380,7 +376,6 @@ class ScqRing {
       }
       telemetry::count_ring_event(io.tm, telemetry::Counter::kBackoffRound);
       io.probe.begin_phase(trace::Phase::kBackoff);
-      backoff.pause();
       ++io.retries;
     }
   }
@@ -470,7 +465,7 @@ inline constexpr ScqRingPoints kAllocRingPoints{
 /// member of the bounded-queue family — TrivialHandle (no per-thread state),
 /// the uniform try_push/try_pop plus native batch operations, capacity
 /// rounded up to a power of two, registered telemetry with a depth gauge.
-template <typename T, typename ContentionPolicy = NoBackoff>
+template <typename T>
 class ScqQueue {
   static_assert(kQueueableV<T>, "element type must be at least 2-byte aligned");
 
@@ -578,7 +573,7 @@ class ScqQueue {
     trace::OpProbe probe(telemetry_.queue_id());
     EVQ_INJECT_POINT(kPushEnter);
     ScqRing::Io io{telemetry_, probe, retries};
-    const std::uint64_t idx = fq_.dequeue<ContentionPolicy>(io);
+    const std::uint64_t idx = fq_.dequeue(io);
     if (idx == ScqRing::kBottom) {
       telemetry::finish_op(telemetry_, probe, OpOutcome::kPushFull, 0, retries);
       return false;
@@ -588,12 +583,12 @@ class ScqQueue {
     // acquire load through aq's entry CAS/load.
     data_[idx].store(node, std::memory_order_release);
     EVQ_INJECT_POINT(kPushReserved);
-    if (!aq_.enqueue<ContentionPolicy>(idx, io)) {
+    if (!aq_.enqueue(idx, io)) {
       // Sealed under us (close()): the node was never published, so hand the
       // free index back and report the paper's FULL outcome — to a caller a
       // sealed queue and a full queue are the same "takes no more items"
       // answer, and the segmented facade counts the seal itself separately.
-      fq_.enqueue<ContentionPolicy>(idx, io);
+      fq_.enqueue(idx, io);
       telemetry::finish_op(telemetry_, probe, OpOutcome::kPushFull, idx, retries);
       return false;
     }
@@ -608,7 +603,7 @@ class ScqQueue {
     trace::OpProbe probe(telemetry_.queue_id());
     EVQ_INJECT_POINT(kPopEnter);
     ScqRing::Io io{telemetry_, probe, retries};
-    const std::uint64_t idx = aq_.dequeue<ContentionPolicy>(io);
+    const std::uint64_t idx = aq_.dequeue(io);
     if (idx == ScqRing::kBottom) {
       telemetry::finish_op(telemetry_, probe, OpOutcome::kPopEmpty, 0, retries);
       return nullptr;
@@ -617,7 +612,7 @@ class ScqQueue {
     T* node = data_[idx].load(std::memory_order_acquire);
     // Only after the read may the index recycle: fq republishes it to the
     // next push, whose data write the read above must not race.
-    fq_.enqueue<ContentionPolicy>(idx, io);
+    fq_.enqueue(idx, io);
     EVQ_INJECT_POINT(kPopCommitted);
     telemetry::finish_op(telemetry_, probe, OpOutcome::kPopOk, idx, retries);
     return node;

@@ -25,7 +25,6 @@
 //                      producer FIFO under MPMC; see core/sharded_queue.hpp)
 //   sharded-simcas     4-shard ShardedQueue over Algorithm 2 (ditto)
 //   scq                SCQ FAA ring (Nikolaev, arXiv:1908.04511)
-//   scq-backoff        SCQ with exponential backoff in retry loops
 //   sharded-scq        4-shard ShardedQueue over SCQ
 //   seg-cas            SegmentedQueue over Algorithm 2 segments (LCRQ-style
 //                      unbounded; `capacity` sizes each segment)
@@ -34,9 +33,6 @@
 //                      per-producer FIFO)
 //   comb-cas           CombiningQueue facade over Algorithm 2 (flat-combining
 //                      announce records; see core/combining_queue.hpp)
-//   comb-scq           CombiningQueue facade over the SCQ FAA ring
-//   sharded-comb-scq   4-shard ShardedQueue over comb-scq (not per-producer
-//                      FIFO)
 #pragma once
 
 #include <cstddef>

@@ -155,4 +155,17 @@ void print_absolute(const ScenarioResult& result, const CliOptions& opts,
 void print_normalized(const ScenarioResult& result, const CliOptions& opts,
                       const std::string& title, const std::string& baseline_name);
 
+/// One column of print_speedup: `bare` mean time over `composed` mean time.
+struct SpeedupColumn {
+  std::string label;
+  std::string bare;
+  std::string composed;
+};
+
+/// Prints `heading`, one row per sweep point of bare / composed mean-time
+/// ratios (one column each), then `footnote`. Prints nothing when a named
+/// series is missing from the result.
+void print_speedup(const ScenarioResult& result, const std::string& heading,
+                   const std::vector<SpeedupColumn>& columns, const std::string& footnote);
+
 }  // namespace evq::harness

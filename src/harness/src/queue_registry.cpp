@@ -97,8 +97,6 @@ std::vector<QueueSpec> build_registry() {
   // head-to-head scenario benches against the Fig. 5/Fig. 3 rings.
   specs.push_back({"scq", "SCQ FAA ring (Nikolaev)", true, true, true,
                    make_factory<ScqQueue<Payload>>()});
-  specs.push_back({"scq-backoff", "SCQ FAA ring + exp backoff", true, true, true,
-                   make_factory<ScqQueue<Payload, ExpBackoff>>("scq-backoff")});
   specs.push_back({"sharded-scq", "Sharded SCQ FAA ring (4 shards)", true, true, false,
                    make_factory<ShardedQueue<ScqQueue<Payload>>>(std::size_t{4}, "sharded-scq")});
   // Segmented (unbounded) generation: linked chains of sealable rings, the
@@ -118,11 +116,6 @@ std::vector<QueueSpec> build_registry() {
   // 1-thread overhead stays within the CI gate.
   specs.push_back({"comb-cas", "Combining over FIFO Array Simulated CAS", true, true, true,
                    make_factory<CombiningQueue<CasArrayQueue<Payload>>>("comb-cas")});
-  specs.push_back({"comb-scq", "Combining over SCQ FAA ring", true, true, true,
-                   make_factory<CombiningQueue<ScqQueue<Payload>>>("comb-scq")});
-  specs.push_back({"sharded-comb-scq", "Sharded Combining SCQ (4 shards)", true, true, false,
-                   make_factory<ShardedQueue<CombiningQueue<ScqQueue<Payload>>>>(
-                       std::size_t{4}, "sharded-comb-scq")});
   return specs;
 }
 

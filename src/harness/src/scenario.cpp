@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <utility>
 
 #include "evq/common/config.hpp"
 #include "evq/health/monitor.hpp"
@@ -221,6 +222,30 @@ void print_normalized(const ScenarioResult& result, const CliOptions& opts,
     }
     std::printf("\n");
   }
+}
+
+void print_speedup(const ScenarioResult& result, const std::string& heading,
+                   const std::vector<SpeedupColumn>& columns, const std::string& footnote) {
+  std::vector<std::pair<const ScenarioSeries*, const ScenarioSeries*>> pairs;
+  for (const SpeedupColumn& c : columns) {
+    pairs.emplace_back(result.series_named(c.bare), result.series_named(c.composed));
+    if (pairs.back().first == nullptr || pairs.back().second == nullptr) {
+      return;
+    }
+  }
+  std::printf("\n%s:\n%8s", heading.c_str(), "threads");
+  for (const SpeedupColumn& c : columns) {
+    std::printf(" %14s", c.label.c_str());
+  }
+  std::printf("\n");
+  for (std::size_t row = 0; row < result.rows.size(); ++row) {
+    std::printf("%8s", result.rows[row].label.c_str());
+    for (const auto& [bare, composed] : pairs) {
+      std::printf(" %13.2fx", bare->cells[row].time.mean / composed->cells[row].time.mean);
+    }
+    std::printf("\n");
+  }
+  std::printf("(%s)\n", footnote.c_str());
 }
 
 const ScenarioSpec& find_scenario(const std::string& name) {

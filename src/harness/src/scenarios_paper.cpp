@@ -585,18 +585,10 @@ ScenarioSpec sharded_spec() {
   spec.series = registry_series({"fifo-llsc", "sharded-llsc", "fifo-simcas", "sharded-simcas"});
   spec.print_table = [](const ScenarioResult& r, const CliOptions& o) {
     print_absolute(r, o, r.title);
-    const ScenarioSeries* flat_llsc = r.series_named("fifo-llsc");
-    const ScenarioSeries* shard_llsc = r.series_named("sharded-llsc");
-    const ScenarioSeries* flat_cas = r.series_named("fifo-simcas");
-    const ScenarioSeries* shard_cas = r.series_named("sharded-simcas");
-    std::printf("\nSharded speedup (flat mean time / sharded mean time):\n");
-    std::printf("%8s %14s %14s\n", "threads", "llsc", "simcas");
-    for (std::size_t i = 0; i < r.rows.size(); ++i) {
-      std::printf("%8s %13.2fx %13.2fx\n", r.rows[i].label.c_str(),
-                  flat_llsc->cells[i].time.mean / shard_llsc->cells[i].time.mean,
-                  flat_cas->cells[i].time.mean / shard_cas->cells[i].time.mean);
-    }
-    std::printf("(>1 means the sharded composition finished the same workload faster)\n");
+    print_speedup(r, "Sharded speedup (flat mean time / sharded mean time)",
+                  {{"llsc", "fifo-llsc", "sharded-llsc"},
+                   {"simcas", "fifo-simcas", "sharded-simcas"}},
+                  ">1 means the sharded composition finished the same workload faster");
   };
   return spec;
 }
@@ -617,27 +609,25 @@ ScenarioSpec scq_spec() {
   spec.summary = "Extension — FAA-generation SCQ vs the paper's CAS/LL-SC rings (E8)";
   spec.default_threads = {1, 2, 4, 8, 16};
   spec.rows = thread_rows;
-  spec.series =
-      registry_series({"fifo-llsc", "fifo-simcas", "scq", "scq-backoff", "sharded-scq"});
+  spec.series = registry_series({"fifo-llsc", "fifo-simcas", "scq", "sharded-scq"});
   spec.print_table = [](const ScenarioResult& r, const CliOptions& o) {
     print_absolute(r, o, r.title);
     const ScenarioSeries* llsc = r.series_named("fifo-llsc");
     const ScenarioSeries* cas = r.series_named("fifo-simcas");
     const ScenarioSeries* scq = r.series_named("scq");
-    const ScenarioSeries* scq_b = r.series_named("scq-backoff");
-    if (llsc == nullptr || cas == nullptr || scq == nullptr || scq_b == nullptr) {
+    if (llsc == nullptr || cas == nullptr || scq == nullptr) {
       return;
     }
     std::printf("\nSCQ speedup vs best paper ring (min(llsc, simcas) mean time / "
-                "min(scq, scq-backoff) mean time):\n");
+                "scq mean time):\n");
     std::printf("%8s %10s\n", "threads", "speedup");
     for (std::size_t i = 0; i < r.rows.size(); ++i) {
       const double best = std::min(llsc->cells[i].time.mean, cas->cells[i].time.mean);
-      const double best_scq = std::min(scq->cells[i].time.mean, scq_b->cells[i].time.mean);
-      if (best <= 0.0 || best_scq <= 0.0) {
+      const double scq_time = scq->cells[i].time.mean;
+      if (best <= 0.0 || scq_time <= 0.0) {
         continue;
       }
-      std::printf("%8s %9.2fx\n", r.rows[i].label.c_str(), best / best_scq);
+      std::printf("%8s %9.2fx\n", r.rows[i].label.c_str(), best / scq_time);
     }
     std::printf("(>1 means the FAA generation beat the best CAS/LL-SC ring; the claim "
                 "under test holds at 8+ threads)\n");
@@ -761,19 +751,11 @@ ScenarioSpec backoff_spec() {
       registry_series({"fifo-llsc", "fifo-llsc-backoff", "fifo-simcas", "fifo-simcas-backoff"});
   spec.print_table = [](const ScenarioResult& r, const CliOptions& o) {
     print_absolute(r, o, r.title);
-    const ScenarioSeries* llsc = r.series_named("fifo-llsc");
-    const ScenarioSeries* llsc_b = r.series_named("fifo-llsc-backoff");
-    const ScenarioSeries* cas = r.series_named("fifo-simcas");
-    const ScenarioSeries* cas_b = r.series_named("fifo-simcas-backoff");
-    std::printf("\nBackoff speedup (NoBackoff mean time / ExpBackoff mean time):\n");
-    std::printf("%8s %14s %14s\n", "threads", "llsc", "simcas");
-    for (std::size_t i = 0; i < r.rows.size(); ++i) {
-      std::printf("%8s %13.2fx %13.2fx\n", r.rows[i].label.c_str(),
-                  llsc->cells[i].time.mean / llsc_b->cells[i].time.mean,
-                  cas->cells[i].time.mean / cas_b->cells[i].time.mean);
-    }
-    std::printf("(>1 means backoff helped; expect ~1.0 uncontended, gains only when "
-                "threads > cores)\n");
+    print_speedup(r, "Backoff speedup (NoBackoff mean time / ExpBackoff mean time)",
+                  {{"llsc", "fifo-llsc", "fifo-llsc-backoff"},
+                   {"simcas", "fifo-simcas", "fifo-simcas-backoff"}},
+                  ">1 means backoff helped; expect ~1.0 uncontended, gains only when "
+                  "threads > cores");
   };
   return spec;
 }
@@ -801,8 +783,8 @@ ScenarioSpec backoff_spec() {
 // 40-60ns op leaves a counter increment or a probe gate nowhere to hide);
 // ms-hp adds the reclaim probes and shows the same absolute cost vanishing
 // into realistic per-op work; scq runs the FAA path the health burn
-// detector watches; comb-scq is the E12 attribution subject with the most
-// machinery per op.
+// detector watches; comb-cas is the combining facade, the series with the
+// most machinery per op.
 // ---------------------------------------------------------------------------
 
 ScenarioSpec layer_overhead_spec() {
@@ -812,7 +794,7 @@ ScenarioSpec layer_overhead_spec() {
   spec.summary = "Observability — each layer compiled out vs idle vs live (E6, E7, E11, E12)";
   spec.default_threads = {1, 2, 4};
   spec.rows = thread_rows;
-  spec.series = registry_series({"fifo-llsc", "fifo-simcas", "scq", "ms-hp", "comb-scq"});
+  spec.series = registry_series({"fifo-llsc", "fifo-simcas", "scq", "ms-hp", "comb-cas"});
   return spec;
 }
 
@@ -857,11 +839,11 @@ ScenarioSpec pairwise_spec() {
 }
 
 // ---------------------------------------------------------------------------
-// Combining contention ladder: the flat-combining facades vs their bare
-// inner rings as threads climb past the core count (EXPERIMENTS.md E10,
+// Combining contention ladder: the flat-combining facade vs its bare inner
+// ring as threads climb past the core count (EXPERIMENTS.md E10,
 // DESIGN.md §14). The bet under test: plain CAS rings collapse once the
 // Head/Tail lines ping-pong, while the combiner turns N losers into one
-// announce-array pass + N amortized batch ops, so the comb-* series should
+// announce-array pass + N amortized batch ops, so the comb-cas series should
 // hold (or regain) throughput on the contended rows. Thread counts reuse the
 // backoff ladder (1, cores, 2x cores) — contention, not parallelism, is the
 // independent variable.
@@ -870,42 +852,29 @@ ScenarioSpec pairwise_spec() {
 ScenarioSpec combining_spec() {
   ScenarioSpec spec;
   spec.name = "combining";
-  spec.title = "Combining ladder: flat-combining facades vs bare rings";
+  spec.title = "Combining ladder: flat-combining facade vs bare ring";
   spec.summary = "Extension — flat-combining facade vs its inner ring under contention (E10)";
   spec.default_threads = backoff_default_threads();
   spec.default_iters = 3000;
   spec.default_runs = 2;
   spec.rows = thread_rows;
-  spec.series = registry_series(
-      {"fifo-simcas", "comb-cas", "scq", "comb-scq", "sharded-comb-scq"});
+  spec.series = registry_series({"fifo-simcas", "comb-cas"});
   spec.print_table = [](const ScenarioResult& r, const CliOptions& o) {
     print_absolute(r, o, r.title);
-    const ScenarioSeries* cas = r.series_named("fifo-simcas");
-    const ScenarioSeries* comb_cas = r.series_named("comb-cas");
-    const ScenarioSeries* scq = r.series_named("scq");
-    const ScenarioSeries* comb_scq = r.series_named("comb-scq");
-    if (cas == nullptr || comb_cas == nullptr || scq == nullptr || comb_scq == nullptr) {
-      return;
-    }
-    std::printf("\nCombining speedup (bare ring mean time / combining mean time):\n");
-    std::printf("%8s %14s %14s\n", "threads", "simcas", "scq");
-    for (std::size_t i = 0; i < r.rows.size(); ++i) {
-      std::printf("%8s %13.2fx %13.2fx\n", r.rows[i].label.c_str(),
-                  cas->cells[i].time.mean / comb_cas->cells[i].time.mean,
-                  scq->cells[i].time.mean / comb_scq->cells[i].time.mean);
-    }
-    std::printf("(>1 means combining beat the bare ring; expect ~1.0 at one thread — the "
-                "adaptive direct path — and gains only on the contended rows)\n");
+    print_speedup(r, "Combining speedup (bare ring mean time / combining mean time)",
+                  {{"simcas", "fifo-simcas", "comb-cas"}},
+                  ">1 means combining beat the bare ring; expect ~1.0 at one thread — the "
+                  "adaptive direct path — and gains only on the contended rows");
   };
   return spec;
 }
 
 // ---------------------------------------------------------------------------
-// Combining-overhead A/B: each facade and its bare inner ring side by side
+// Combining-overhead A/B: the facade and its bare inner ring side by side
 // at ONE thread, in one scenario — so scripts/comb_overhead_gate.py can
 // compare series WITHIN a single JSON document (bench_diff.py only joins
 // identical series names across documents, which an intra-build facade-vs-
-// ring comparison cannot use). CI runs this and fails the comb-* facades if
+// ring comparison cannot use). CI runs this and fails the comb-cas facade if
 // the adaptive direct path costs more than 5% over the bare ring.
 // ---------------------------------------------------------------------------
 
@@ -918,22 +887,17 @@ ScenarioSpec combining_overhead_spec() {
   spec.default_iters = 5000;
   spec.default_runs = 3;
   spec.rows = thread_rows;
-  spec.series = registry_series({"fifo-simcas", "comb-cas", "scq", "comb-scq"});
+  spec.series = registry_series({"fifo-simcas", "comb-cas"});
   spec.print_table = [](const ScenarioResult& r, const CliOptions& o) {
     print_absolute(r, o, r.title);
     const ScenarioSeries* cas = r.series_named("fifo-simcas");
     const ScenarioSeries* comb_cas = r.series_named("comb-cas");
-    const ScenarioSeries* scq = r.series_named("scq");
-    const ScenarioSeries* comb_scq = r.series_named("comb-scq");
-    if (cas == nullptr || comb_cas == nullptr || scq == nullptr || comb_scq == nullptr ||
-        r.rows.empty()) {
+    if (cas == nullptr || comb_cas == nullptr || r.rows.empty()) {
       return;
     }
     std::printf("\nSingle-thread facade overhead (combining vs bare ring):\n");
     std::printf("  comb-cas vs fifo-simcas: %+.1f%%\n",
                 (comb_cas->cells[0].time.mean / cas->cells[0].time.mean - 1.0) * 100.0);
-    std::printf("  comb-scq vs scq:         %+.1f%%\n",
-                (comb_scq->cells[0].time.mean / scq->cells[0].time.mean - 1.0) * 100.0);
     std::printf("(acceptance: <= 5%% — the adaptive direct path must keep the announce "
                 "machinery off the uncontended fast path)\n");
   };

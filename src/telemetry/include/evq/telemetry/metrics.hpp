@@ -46,7 +46,7 @@ enum class Counter : std::uint8_t {
   kPopEmpty,        // try_pop observed EMPTY_QUEUE
   kSlotScFail,      // slot commit (SC or its CAS stand-in) failed
   kHelpAdvance,     // lagging Head/Tail advanced on a peer's behalf
-  kBackoffRound,    // one ContentionPolicy::pause() on a retry path
+  kBackoffRound,    // one retry round (a ring engine pauses its ContentionPolicy)
   kHpScan,          // hazard-pointer scan pass
   kHpRetired,       // node handed to an HP domain's retired list
   kHpFreed,         // node reclaimed by an HP scan

@@ -73,7 +73,7 @@ enum class EventKind : std::uint8_t {
 enum class Phase : std::uint8_t {
   kIndexLoad = 0,  // index read + boundary check (E5-E7 / D5-D7)
   kSlotAttempt,    // reserve, re-validate, classify, commit (E8-E15 / D8-D15)
-  kBackoff,        // one ContentionPolicy::pause() on a retry path
+  kBackoff,        // one retry round (a ring engine pauses its ContentionPolicy)
   kHelpAdvance,    // internal state while a help span is open (never exported
                    // as a kPhase record — it closes as a kHelp record)
   kFaaReserve,     // SCQ-generation ticket claim: the unconditional fetch_add

@@ -21,7 +21,6 @@
 
 #include "evq/core/cas_array_queue.hpp"
 #include "evq/core/combining_queue.hpp"
-#include "evq/core/scq_queue.hpp"
 #include "evq/telemetry/metrics.hpp"
 
 namespace {
@@ -29,7 +28,6 @@ namespace {
 using namespace evq;
 
 using CombCas = CombiningQueue<CasArrayQueue<std::uint64_t>>;
-using CombScq = CombiningQueue<ScqQueue<std::uint64_t>>;
 
 TEST(CombiningQueue, SingleThreadFifoAcrossProbeBoundary) {
   // More ops than kProbeEvery so at least one op per handle takes the
@@ -87,14 +85,14 @@ TEST(CombiningQueue, ManyHandlesShareAnnounceRecordsSafely) {
   // upper record range round-robin and claim by CAS on their probe ops.
   // Drive each handle across its probe boundary so the shared-claim path
   // actually runs.
-  CombScq q(64, "comb-unit-shared");
-  std::vector<CombScq::Handle> handles;
-  for (std::size_t i = 0; i < CombScq::kRecordCount + 4; ++i) {
+  CombCas q(64, "comb-unit-shared");
+  std::vector<CombCas::Handle> handles;
+  for (std::size_t i = 0; i < CombCas::kRecordCount + 4; ++i) {
     handles.push_back(q.handle());
   }
   std::uint64_t v = 0;
   for (auto& h : handles) {
-    for (std::uint32_t i = 0; i < CombScq::kProbeEvery + 4; ++i) {
+    for (std::uint32_t i = 0; i < CombCas::kProbeEvery + 4; ++i) {
       v = i;
       ASSERT_TRUE(q.try_push(h, &v));
       std::uint64_t* got = q.try_pop(h);
@@ -109,13 +107,13 @@ TEST(CombiningQueue, ExclusiveAndSharedSlotsNeverShareARecord) {
   // The partition that makes the two claiming disciplines safe: exclusive
   // handles (slot < kExclusiveRecords) publish with a plain store and must
   // never land on a record a CAS-claiming shared handle can touch.
-  CombScq q(64, "comb-unit-partition");
-  static_assert(CombScq::kExclusiveRecords + CombScq::kSharedRecords ==
-                CombScq::kRecordCount);
-  static_assert(CombScq::kSharedRecords > 0,
+  CombCas q(64, "comb-unit-partition");
+  static_assert(CombCas::kExclusiveRecords + CombCas::kSharedRecords ==
+                CombCas::kRecordCount);
+  static_assert(CombCas::kSharedRecords > 0,
                 "handles past the exclusive range need records to share");
-  std::vector<CombScq::Handle> handles;
-  for (std::size_t i = 0; i < CombScq::kRecordCount * 3; ++i) {
+  std::vector<CombCas::Handle> handles;
+  for (std::size_t i = 0; i < CombCas::kRecordCount * 3; ++i) {
     handles.push_back(q.handle());  // slots 0..47: both disciplines, wrapped
   }
   // Every op must still round-trip regardless of which range its slot maps
@@ -138,9 +136,9 @@ TEST(CombiningQueue, ConcurrentStressMoreThreadsThanRecordsConservesEveryItem) {
   // served ONE op and both waiters took the done word as their own result —
   // a lost push or a node returned twice, which the conservation check
   // below catches. kThreads > kRecordCount guarantees shared slots exist.
-  constexpr std::size_t kThreads = CombScq::kRecordCount + 4;
+  constexpr std::size_t kThreads = CombCas::kRecordCount + 4;
   constexpr std::size_t kPerThread = 600;
-  CombScq q(256, "comb-unit-stress-shared");
+  CombCas q(256, "comb-unit-stress-shared");
   std::vector<std::uint64_t> tokens(kThreads * kPerThread);
   std::vector<std::atomic<std::uint32_t>> popped(tokens.size());
   for (auto& p : popped) {
@@ -218,14 +216,19 @@ TEST(CombiningQueue, ProbesCountInCombiningTelemetry) {
 #if !EVQ_TELEMETRY
   GTEST_SKIP() << "counter values compiled out with EVQ_TELEMETRY=0";
 #else
+  // Deltas, not absolute counts: a queue re-created under the same name
+  // (--gtest_repeat) reattaches to the counters its predecessor left.
   CombCas q(8, "comb-unit-telemetry");
+  const telemetry::CounterSnapshot comb_before = q.metrics().snapshot();
+  const telemetry::CounterSnapshot ring_before = q.underlying().metrics().snapshot();
   auto h = q.handle();
   std::uint64_t v = 1;
   for (std::uint32_t i = 0; i < CombCas::kProbeEvery * 2; ++i) {
     ASSERT_TRUE(q.try_push(h, &v));
     ASSERT_EQ(q.try_pop(h), &v);
   }
-  const telemetry::CounterSnapshot snap = q.metrics().snapshot();
+  const telemetry::CounterSnapshot snap =
+      telemetry::counter_delta(comb_before, q.metrics().snapshot());
   // 4 * kProbeEvery ops in direct mode -> at least a couple of probes, each
   // an announce-path submit that self-combines exactly one op.
   EXPECT_GE(snap[telemetry::Counter::kCombSubmit], 2u);
@@ -233,7 +236,8 @@ TEST(CombiningQueue, ProbesCountInCombiningTelemetry) {
   EXPECT_GE(snap[telemetry::Counter::kCombBatchN], snap[telemetry::Counter::kCombCombine])
       << "every combining pass applies at least its own op";
   // The inner ring saw every op (direct and combined alike).
-  const telemetry::CounterSnapshot ring = q.underlying().metrics().snapshot();
+  const telemetry::CounterSnapshot ring =
+      telemetry::counter_delta(ring_before, q.underlying().metrics().snapshot());
   EXPECT_EQ(ring[telemetry::Counter::kPushOk], CombCas::kProbeEvery * 2);
   EXPECT_EQ(ring[telemetry::Counter::kPopOk], CombCas::kProbeEvery * 2);
 #endif
@@ -245,7 +249,7 @@ TEST(CombiningQueue, ConcurrentStressConservesEveryItem) {
   // shared-slot fallback and withdraw under the sanitizer builds.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 2000;
-  CombScq q(64, "comb-unit-stress");
+  CombCas q(64, "comb-unit-stress");
   std::vector<std::uint64_t> tokens(kThreads * kPerThread);
   std::vector<std::atomic<std::uint32_t>> popped(tokens.size());
   for (auto& p : popped) {

@@ -295,6 +295,18 @@ TEST_P(DifferentialFuzz, SegmentedCasQueue) {
   fuzz_against_model<SegmentedQueue<CasArrayQueue<Token>>>(p.capacity, p.seed, kOps, p.bias_push);
 }
 
+TEST_P(DifferentialFuzz, SegmentedLlscQueue) {
+  const auto p = GetParam();
+  fuzz_against_model<SegmentedQueue<LlscArrayQueue<Token, llsc::PackedLlsc>>>(p.capacity, p.seed,
+                                                                              kOps, p.bias_push);
+}
+
+TEST_P(DifferentialFuzz, SegmentedLlscQueueBatch) {
+  const auto p = GetParam();
+  fuzz_batch_against_model<SegmentedQueue<LlscArrayQueue<Token, llsc::PackedLlsc>>>(
+      p.capacity, p.seed, kOps / 4, p.bias_push);
+}
+
 TEST_P(DifferentialFuzz, SegmentedScqQueue) {
   const auto p = GetParam();
   fuzz_against_model<SegmentedQueue<ScqQueue<Token>>>(p.capacity, p.seed, kOps, p.bias_push);
@@ -348,7 +360,7 @@ TEST_P(DifferentialFuzz, ShardedSegmentedScqQueue) {
   ASSERT_EQ(q.try_pop(h), nullptr);
 }
 
-// Combining facades: single-threaded the adaptive heuristic mostly stays on
+// Combining facade: single-threaded the adaptive heuristic mostly stays on
 // the direct path, but every kProbeEvery-th op still runs the full
 // announce/combine/harvest protocol (the probe), so the fuzz walks both
 // paths and their hand-off at every full/empty boundary the model reaches.
@@ -357,27 +369,32 @@ TEST_P(DifferentialFuzz, CombiningCasQueue) {
   fuzz_against_model<CombiningQueue<CasArrayQueue<Token>>>(p.capacity, p.seed, kOps, p.bias_push);
 }
 
-TEST_P(DifferentialFuzz, CombiningScqQueue) {
-  const auto p = GetParam();
-  fuzz_against_model<CombiningQueue<ScqQueue<Token>>>(p.capacity, p.seed, kOps, p.bias_push);
-}
-
 TEST_P(DifferentialFuzz, CombiningCasQueueBatch) {
   const auto p = GetParam();
   fuzz_batch_against_model<CombiningQueue<CasArrayQueue<Token>>>(p.capacity, p.seed, kOps / 4,
                                                                  p.bias_push);
 }
 
-TEST_P(DifferentialFuzz, CombiningScqQueueBatch) {
+// The facade is generic over its ring: the same walk over Algorithm 1's
+// LL/SC slots, whose reservation differs from the CAS ring's.
+TEST_P(DifferentialFuzz, CombiningLlscQueue) {
   const auto p = GetParam();
-  fuzz_batch_against_model<CombiningQueue<ScqQueue<Token>>>(p.capacity, p.seed, kOps / 4,
-                                                            p.bias_push);
+  fuzz_against_model<CombiningQueue<LlscArrayQueue<Token, llsc::PackedLlsc>>>(p.capacity, p.seed,
+                                                                              kOps, p.bias_push);
 }
 
-TEST_P(DifferentialFuzz, ShardedCombiningScqQueue) {
+TEST_P(DifferentialFuzz, CombiningLlscQueueBatch) {
   const auto p = GetParam();
-  fuzz_sharded_against_multiset<CombiningQueue<ScqQueue<Token>>>(p.capacity * 4, 4, p.seed, kOps,
-                                                                 p.bias_push);
+  fuzz_batch_against_model<CombiningQueue<LlscArrayQueue<Token, llsc::PackedLlsc>>>(
+      p.capacity, p.seed, kOps / 4, p.bias_push);
+}
+
+// Shards that are themselves combining facades: each shard runs its own
+// announce/combine protocol behind the sharded facade's routing.
+TEST_P(DifferentialFuzz, ShardedCombiningCasQueue) {
+  const auto p = GetParam();
+  fuzz_sharded_against_multiset<CombiningQueue<CasArrayQueue<Token>>>(p.capacity * 4, 4, p.seed,
+                                                                      kOps, p.bias_push);
 }
 
 TEST_P(DifferentialFuzz, ShardedScqQueue) {

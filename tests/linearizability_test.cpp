@@ -2,6 +2,9 @@
 // end-to-end checks of recorded histories from the real queues.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "evq/core/llsc_array_queue.hpp"
 #include "evq/core/scq_queue.hpp"
 #include "evq/core/segmented_queue.hpp"
+#include "evq/llsc/packed_llsc.hpp"
 #include "evq/verify/history.hpp"
 #include "evq/verify/lin_check.hpp"
 
@@ -230,17 +234,21 @@ TEST(LinCheck, RecorderBatchEndsShareWindowAndBatchId) {
 // Recorded histories from the real queues
 // ---------------------------------------------------------------------------
 
-TEST(LinCheck, RecordedCasQueueHistoriesAreLinearizable) {
-  // Unique-pointer-per-value variant: each push uses a distinct arena cell,
-  // so pointer identity <-> value identity and the model applies exactly.
+/// Twenty rounds of three threads that each push a value and pop once,
+/// three times, on a fresh `Q(args...)`; every recorded history must
+/// linearize. Each push uses a distinct arena cell, so pointer identity <->
+/// value identity and the model applies exactly. An unbounded queue is
+/// checked with capacity 0 (a push may never legally report full).
+template <typename Q, typename... Args>
+void expect_recorded_histories_linearizable(const Args&... args) {
   constexpr std::uint32_t kThreads = 3;
   constexpr int kPushesPerThread = 3;
   for (int round = 0; round < 20; ++round) {
-    CasArrayQueue<std::uint64_t> queue(2);  // tiny capacity: full is reachable
-    static std::uint64_t arena[kThreads * kPushesPerThread + 1];
+    std::uint64_t arena[kThreads * kPushesPerThread + 1];
     for (std::uint64_t i = 1; i <= kThreads * kPushesPerThread; ++i) {
       arena[i] = i;
     }
+    Q queue(args...);
     HistoryRecorder recorder(kThreads, 2 * kPushesPerThread);
     std::vector<std::thread> threads;
     for (std::uint32_t t = 0; t < kThreads; ++t) {
@@ -260,115 +268,37 @@ TEST(LinCheck, RecordedCasQueueHistoriesAreLinearizable) {
     for (auto& th : threads) {
       th.join();
     }
-    LinearizabilityChecker chk(queue.capacity());
+    std::size_t capacity = 0;
+    if constexpr (BoundedPtrQueue<Q>) {
+      capacity = queue.capacity();
+    }
+    LinearizabilityChecker chk(capacity);
     EXPECT_TRUE(chk.check(recorder.collect())) << "round " << round;
   }
 }
 
+// Capacity 2: full is reachable in every round.
+TEST(LinCheck, RecordedCasQueueHistoriesAreLinearizable) {
+  expect_recorded_histories_linearizable<CasArrayQueue<std::uint64_t>>(std::size_t{2});
+}
+
 TEST(LinCheck, RecordedLlscQueueHistoriesAreLinearizable) {
-  constexpr std::uint32_t kThreads = 3;
-  constexpr int kPushesPerThread = 3;
-  for (int round = 0; round < 20; ++round) {
-    LlscArrayQueue<std::uint64_t> queue(2);
-    static std::uint64_t arena[kThreads * kPushesPerThread + 1];
-    for (std::uint64_t i = 1; i <= kThreads * kPushesPerThread; ++i) {
-      arena[i] = i;
-    }
-    HistoryRecorder recorder(kThreads, 2 * kPushesPerThread);
-    std::vector<std::thread> threads;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        auto h = queue.handle();
-        for (int i = 0; i < kPushesPerThread; ++i) {
-          const std::uint64_t value = t * kPushesPerThread + i + 1;
-          const std::uint64_t inv = recorder.begin();
-          const bool ok = queue.try_push(h, &arena[value]);
-          recorder.end_push(t, inv, value, ok);
-          const std::uint64_t inv2 = recorder.begin();
-          std::uint64_t* out = queue.try_pop(h);
-          recorder.end_pop(t, inv2, out == nullptr ? 0 : *out);
-        }
-      });
-    }
-    for (auto& th : threads) {
-      th.join();
-    }
-    LinearizabilityChecker chk(queue.capacity());
-    EXPECT_TRUE(chk.check(recorder.collect())) << "round " << round;
-  }
+  expect_recorded_histories_linearizable<LlscArrayQueue<std::uint64_t>>(std::size_t{2});
 }
 
 // The FAA-generation queue: full/empty reports come off the threshold and
 // free-index machinery rather than an index comparison, so the recorded
 // histories are the direct evidence those reports linearize.
 TEST(LinCheck, RecordedScqQueueHistoriesAreLinearizable) {
-  constexpr std::uint32_t kThreads = 3;
-  constexpr int kPushesPerThread = 3;
-  for (int round = 0; round < 20; ++round) {
-    ScqQueue<std::uint64_t> queue(2);
-    static std::uint64_t arena[kThreads * kPushesPerThread + 1];
-    for (std::uint64_t i = 1; i <= kThreads * kPushesPerThread; ++i) {
-      arena[i] = i;
-    }
-    HistoryRecorder recorder(kThreads, 2 * kPushesPerThread);
-    std::vector<std::thread> threads;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        auto h = queue.handle();
-        for (int i = 0; i < kPushesPerThread; ++i) {
-          const std::uint64_t value = t * kPushesPerThread + i + 1;
-          const std::uint64_t inv = recorder.begin();
-          const bool ok = queue.try_push(h, &arena[value]);
-          recorder.end_push(t, inv, value, ok);
-          const std::uint64_t inv2 = recorder.begin();
-          std::uint64_t* out = queue.try_pop(h);
-          recorder.end_pop(t, inv2, out == nullptr ? 0 : *out);
-        }
-      });
-    }
-    for (auto& th : threads) {
-      th.join();
-    }
-    LinearizabilityChecker chk(queue.capacity());
-    EXPECT_TRUE(chk.check(recorder.collect())) << "round " << round;
-  }
+  expect_recorded_histories_linearizable<ScqQueue<std::uint64_t>>(std::size_t{2});
 }
 
 // The segmented composition: segment capacity 2 forces seal/append/retire
 // transitions inside nearly every round, so the recorded histories cover the
-// cross-segment handoff. Capacity 0 = unbounded for the checker (a push may
-// never legally report full).
+// cross-segment handoff.
 TEST(LinCheck, RecordedSegmentedQueueHistoriesAreLinearizable) {
-  constexpr std::uint32_t kThreads = 3;
-  constexpr int kPushesPerThread = 3;
-  for (int round = 0; round < 20; ++round) {
-    SegmentedQueue<ScqQueue<std::uint64_t>> queue(2, "lin-seg-scq");
-    static std::uint64_t arena[kThreads * kPushesPerThread + 1];
-    for (std::uint64_t i = 1; i <= kThreads * kPushesPerThread; ++i) {
-      arena[i] = i;
-    }
-    HistoryRecorder recorder(kThreads, 2 * kPushesPerThread);
-    std::vector<std::thread> threads;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        auto h = queue.handle();
-        for (int i = 0; i < kPushesPerThread; ++i) {
-          const std::uint64_t value = t * kPushesPerThread + i + 1;
-          const std::uint64_t inv = recorder.begin();
-          const bool ok = queue.try_push(h, &arena[value]);
-          recorder.end_push(t, inv, value, ok);
-          const std::uint64_t inv2 = recorder.begin();
-          std::uint64_t* out = queue.try_pop(h);
-          recorder.end_pop(t, inv2, out == nullptr ? 0 : *out);
-        }
-      });
-    }
-    for (auto& th : threads) {
-      th.join();
-    }
-    LinearizabilityChecker chk(0);
-    EXPECT_TRUE(chk.check(recorder.collect())) << "round " << round;
-  }
+  expect_recorded_histories_linearizable<SegmentedQueue<ScqQueue<std::uint64_t>>>(
+      std::size_t{2}, std::string_view{"lin-seg-scq"});
 }
 
 // The combining facade: three threads hammering a capacity-2 inner ring keep
@@ -376,36 +306,16 @@ TEST(LinCheck, RecordedSegmentedQueueHistoriesAreLinearizable) {
 // ops completed by PEER combiners — the cross-thread helping whose
 // linearizability this checker exists to certify.
 TEST(LinCheck, RecordedCombiningQueueHistoriesAreLinearizable) {
-  constexpr std::uint32_t kThreads = 3;
-  constexpr int kPushesPerThread = 3;
-  for (int round = 0; round < 20; ++round) {
-    CombiningQueue<ScqQueue<std::uint64_t>> queue(2, "lin-comb-scq");
-    static std::uint64_t arena[kThreads * kPushesPerThread + 1];
-    for (std::uint64_t i = 1; i <= kThreads * kPushesPerThread; ++i) {
-      arena[i] = i;
-    }
-    HistoryRecorder recorder(kThreads, 2 * kPushesPerThread);
-    std::vector<std::thread> threads;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        auto h = queue.handle();
-        for (int i = 0; i < kPushesPerThread; ++i) {
-          const std::uint64_t value = t * kPushesPerThread + i + 1;
-          const std::uint64_t inv = recorder.begin();
-          const bool ok = queue.try_push(h, &arena[value]);
-          recorder.end_push(t, inv, value, ok);
-          const std::uint64_t inv2 = recorder.begin();
-          std::uint64_t* out = queue.try_pop(h);
-          recorder.end_pop(t, inv2, out == nullptr ? 0 : *out);
-        }
-      });
-    }
-    for (auto& th : threads) {
-      th.join();
-    }
-    LinearizabilityChecker chk(queue.capacity());
-    EXPECT_TRUE(chk.check(recorder.collect())) << "round " << round;
-  }
+  expect_recorded_histories_linearizable<CombiningQueue<CasArrayQueue<std::uint64_t>>>(
+      std::size_t{2}, std::string_view{"lin-comb-cas"});
+}
+
+// The same helping over Algorithm 1's LL/SC ring: the facade is generic over
+// its ring, and peer combiners here apply ops through LL/SC reservations.
+TEST(LinCheck, RecordedCombiningLlscQueueHistoriesAreLinearizable) {
+  expect_recorded_histories_linearizable<
+      CombiningQueue<LlscArrayQueue<std::uint64_t, llsc::PackedLlsc>>>(
+      std::size_t{2}, std::string_view{"lin-comb-llsc"});
 }
 
 // Batch histories from a real queue: concurrent try_push_n / try_pop_n calls

@@ -85,20 +85,21 @@ using AllQueues = ::testing::Types<LlscArrayQueue<Token, llsc::VersionedLlsc>,
                                    // must honour the same exact sequential
                                    // contract as the paper rings.
                                    ScqQueue<Token>,
-                                   ScqQueue<Token, ExpBackoff>,
                                    // Segmented generation: the capacity the
                                    // suite passes sizes one SEGMENT; the
                                    // queue itself is unbounded, so the
                                    // capacity-gated tests flip to their
                                    // push-always-succeeds duals.
                                    SegmentedQueue<CasArrayQueue<Token>>,
+                                   SegmentedQueue<LlscArrayQueue<Token, llsc::PackedLlsc>>,
                                    SegmentedQueue<ScqQueue<Token>>,
                                    SegmentedQueue<ScqQueue<Token>, EbrSegmentDomain>,
-                                   // Combining facades: announced ops completed
+                                   // Combining facade: announced ops completed
                                    // by peer combiners must honour the exact
-                                   // same contract as direct ring ops.
+                                   // same contract as direct ring ops, over
+                                   // both paper rings.
                                    CombiningQueue<CasArrayQueue<Token>>,
-                                   CombiningQueue<ScqQueue<Token>>>;
+                                   CombiningQueue<LlscArrayQueue<Token, llsc::PackedLlsc>>>;
 TYPED_TEST_SUITE(QueueConformanceTest, AllQueues);
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 
 #include "evq/baselines/shann_queue.hpp"
 #include "evq/baselines/tsigas_zhang_queue.hpp"
+#include "evq/common/backoff.hpp"
 #include "evq/common/thread_block.hpp"
 #include "evq/core/cas_array_queue.hpp"
 #include "evq/core/llsc_array_queue.hpp"
@@ -43,12 +44,16 @@ using verify::Token;
 template <typename Q>
 class RingEngineBatchTest : public ::testing::Test {};
 
+// The ExpBackoff rings are the registry's *-backoff entries: the backoff
+// waits inside the same batch retry loops, so the batch contract must hold.
 using BatchQueues = ::testing::Types<LlscArrayQueue<Token, llsc::PackedLlsc>,
                                      LlscArrayQueue<Token, llsc::VersionedLlsc>,
                                      CasArrayQueue<Token>,
                                      baselines::ShannQueue<Token>,
                                      baselines::TsigasZhangQueue<Token>,
-                                     ScqQueue<Token>>;
+                                     ScqQueue<Token>,
+                                     LlscArrayQueue<Token, llsc::PackedLlsc, ExpBackoff>,
+                                     CasArrayQueue<Token, ExpBackoff>>;
 TYPED_TEST_SUITE(RingEngineBatchTest, BatchQueues);
 
 // Every ring-engine instantiation must satisfy the batch concept.

@@ -51,7 +51,7 @@ TEST(ScenarioRegistry, LayerOverheadCoversEveryLayerGateSeries) {
     names.push_back(q.name);
   }
   EXPECT_EQ(names, (std::vector<std::string>{"fifo-llsc", "fifo-simcas", "scq", "ms-hp",
-                                             "comb-scq"}));
+                                             "comb-cas"}));
 }
 
 TEST(ScenarioRegistry, SpecsAreWellFormed) {

@@ -2,7 +2,7 @@
 // (documented in EXPERIMENTS.md) so a developer iterating on one queue can
 // run just its slice of the matrix without memorizing gtest filter syntax:
 //
-//   ./evq_torture --filter comb-scq        # every profile for one queue
+//   ./evq_torture --filter comb-cas        # every profile for one queue
 //   ./evq_torture --filter sc_storm        # every queue under one profile
 //
 // The substring is matched against full test names with wildcards on both

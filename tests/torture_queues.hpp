@@ -20,9 +20,8 @@ inline constexpr const char* kTortureCoveredQueues[] = {
     "ms-hp-sorted", "ms-doherty", "shann", "ms-pool",
     "ms-ebr", "tsigas-zhang", "mutex", "unsync",
     "fifo-llsc-backoff", "fifo-simcas-backoff", "sharded-llsc", "sharded-simcas",
-    "scq", "scq-backoff", "sharded-scq", "seg-cas",
-    "seg-scq", "sharded-seg-scq", "comb-cas", "comb-scq",
-    "sharded-comb-scq",
+    "scq", "sharded-scq", "seg-cas", "seg-scq",
+    "sharded-seg-scq", "comb-cas",
 };
 
 inline constexpr std::size_t kTortureCoveredQueueCount =

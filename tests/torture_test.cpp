@@ -433,11 +433,6 @@ constexpr RunnerEntry kRunners[] = {
        ScqQueue<Token> q(c.capacity);
        return run_torture(q, p, c);
      }},
-    {"scq-backoff",
-     +[](const inject::Profile& p, const TortureConfig& c) {
-       ScqQueue<Token, ExpBackoff> q(c.capacity, "scq-backoff");
-       return run_torture(q, p, c);
-     }},
     {"sharded-scq",
      +[](const inject::Profile& p, const TortureConfig& c) {
        ShardedQueue<ScqQueue<Token>> q(c.capacity * 4, 4);
@@ -468,7 +463,7 @@ constexpr RunnerEntry kRunners[] = {
        out.order = {};
        return out;
      }},
-    // The combining facades stay linearizable FIFO (announced ops linearize
+    // The combining facade stays linearizable FIFO (announced ops linearize
     // at the combiner's batch application), so the order check stays ON —
     // and the injectors now park threads inside the INNER ring while peers
     // wait on announce records, stressing the withdraw/cancel escape path.
@@ -476,18 +471,6 @@ constexpr RunnerEntry kRunners[] = {
      +[](const inject::Profile& p, const TortureConfig& c) {
        CombiningQueue<CasArrayQueue<Token>> q(c.capacity, "comb-cas");
        return run_torture(q, p, c);
-     }},
-    {"comb-scq",
-     +[](const inject::Profile& p, const TortureConfig& c) {
-       CombiningQueue<ScqQueue<Token>> q(c.capacity, "comb-scq");
-       return run_torture(q, p, c);
-     }},
-    {"sharded-comb-scq",
-     +[](const inject::Profile& p, const TortureConfig& c) {
-       ShardedQueue<CombiningQueue<ScqQueue<Token>>> q(c.capacity * 4, 4, "sharded-comb-scq");
-       TortureOutcome out = run_torture(q, p, c);
-       out.order = {};
-       return out;
      }},
 };
 
